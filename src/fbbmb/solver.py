@@ -8,7 +8,10 @@ Two formulations are supported:
   and constraint rows carry a small mutual inconsistency that a multiplier
   would otherwise absorb at O(1). Convergence is declared on first-order
   optimality ||J^T G||_inf <= tol_opt (or on an exact residual root if one
-  exists).
+  exists). Each Gauss-Newton step is one least-squares solve by QR with column
+  pivoting and a complete orthogonal decomposition (LAPACK gelsy). It is
+  rank-revealing: if J loses rank it returns the minimum-norm step, and the
+  report warns.
 
 * "kkt": root-find the square augmented system [R(v) + C^T mu; C v - Rhat] = 0
   with the exact block Jacobian [[J(v), C^T], [C, 0]]. Enforces the boundary
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, get_lapack_funcs, lstsq, lu_factor, lu_solve
 
 from .assembly import DiscreteSolution, DiscreteSystem, jacobian, reconstruct, residual
 
@@ -145,7 +148,13 @@ class _LeastSquaresProblem:
         return jacobian(self.sys, z, self.nl)[:, : self.N]
 
     def newton_step(self, J, G, warns, k):
-        step, *_ = np.linalg.lstsq(J, -G, rcond=None)
+        # the rank cutoff of np.linalg.lstsq; at scipy's default (eps) the
+        # roundoff of an exactly rank-deficient J can count as rank and blow
+        # up the step
+        rcond = np.finfo(float).eps * max(J.shape)
+        step, _, rank, _ = lstsq(J, -G, cond=rcond, lapack_driver="gelsy", check_finite=False)
+        if rank < self.N:
+            warns.append(f"iteration {k}: Jacobian rank {rank} < {self.N}")
         return step
 
     def converged(self, G, J, cfg):
@@ -168,22 +177,21 @@ def _make_problem(sys, mu0, cfg, include_nonlinear):
     return _LeastSquaresProblem(sys, mu0, include_nonlinear)
 
 
-def _make_report(prob, z, iters, converged, t0, warns):
-    sys = prob.sys
+def _make_report(prob, z, G, J, iters, cfg, t0, warns):
+    """Report on the iterate z, whose residual G and Jacobian J the loop has."""
     v, mu = prob.unpack(z)
-    G_full = residual(sys, v, mu, prob.nl)
     sol = DiscreteSolution(
         v=np.array(v),
         mu=np.array(mu),
-        u=reconstruct(sys, v),
-        residual_norm=float(np.max(np.abs(G_full[: v.size]))),
-        constraint_norm=float(np.max(np.abs(G_full[v.size :]))),
+        u=reconstruct(prob.sys, v),
+        residual_norm=float(np.max(np.abs(G[: v.size]))),
+        constraint_norm=float(np.max(np.abs(G[v.size :]))),
     )
     return SolveReport(
         solution=sol,
         iterations=iters,
-        final_residual=prob.measure(prob.residual(z), prob.jacobian(z)),
-        converged=converged,
+        final_residual=prob.measure(G, J),
+        converged=bool(prob.converged(G, J, cfg)),
         wall_time=time.perf_counter() - t0,
         warnings=tuple(warns),
     )
@@ -203,10 +211,10 @@ def newton_solve(
     z = prob.pack(np.array(v0, dtype=float), np.array(mu0, dtype=float))
     warns: list[str] = []
     G = prob.residual(z)
+    J = prob.jacobian(z)
     for k in range(cfg.max_iters):
-        J = prob.jacobian(z)
         if prob.converged(G, J, cfg):
-            return _make_report(prob, z, k, True, t0, warns)
+            return _make_report(prob, z, G, J, k, cfg, t0, warns)
         step = prob.newton_step(J, G, warns, k)
         merit = prob.merit(G)
         damp = 1.0
@@ -217,11 +225,10 @@ def newton_solve(
                 break
             damp *= 0.5
         z, G = z_new, G_new
+        J = prob.jacobian(z)
         if damp * np.max(np.abs(step)) <= cfg.tol_step:
-            J = prob.jacobian(z)
-            return _make_report(prob, z, k + 1, prob.converged(G, J, cfg), t0, warns)
-    J = prob.jacobian(z)
-    return _make_report(prob, z, cfg.max_iters, prob.converged(G, J, cfg), t0, warns)
+            return _make_report(prob, z, G, J, k + 1, cfg, t0, warns)
+    return _make_report(prob, z, G, J, cfg.max_iters, cfg, t0, warns)
 
 
 def _dogleg_step(step_newton, g, Jg, radius):
@@ -257,11 +264,9 @@ def trust_region_solve(
     warns: list[str] = []
     radius = cfg.initial_trust_radius
     G = prob.residual(z)
+    J = prob.jacobian(z)
     k = 0
-    while k < cfg.max_iters:
-        J = prob.jacobian(z)
-        if prob.converged(G, J, cfg):
-            return _make_report(prob, z, k, True, t0, warns)
+    while k < cfg.max_iters and not prob.converged(G, J, cfg):
         try:
             step_newton = prob.newton_step(J, G, warns, k)
             if not np.all(np.isfinite(step_newton)):
@@ -269,10 +274,11 @@ def trust_region_solve(
         except SingularSystemError:
             step_newton = None
         g = J.T @ G
+        Jg = J @ g
         merit = 0.5 * float(G @ G)
         accepted = False
         while radius >= cfg.min_trust_radius:
-            p, hit_boundary = _dogleg_step(step_newton, g, J @ g, radius)
+            p, hit_boundary = _dogleg_step(step_newton, g, Jg, radius)
             predicted = merit - 0.5 * float(np.sum((G + J @ p) ** 2))
             z_new = z + p
             G_new = prob.residual(z_new)
@@ -289,11 +295,11 @@ def trust_region_solve(
         if not accepted:
             warns.append(f"iteration {k}: trust radius underflow below {cfg.min_trust_radius}")
             break
+        J = prob.jacobian(z)
         k += 1
         if step_inf <= cfg.tol_step:
             break
-    J = prob.jacobian(z)
-    return _make_report(prob, z, k, prob.converged(G, J, cfg), t0, warns)
+    return _make_report(prob, z, G, J, k, cfg, t0, warns)
 
 
 def solve(

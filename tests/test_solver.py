@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fbbmb.solver
+
 from fbbmb.assembly import GridOrdering, assemble, jacobian, residual
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.opmatrices import build_operator_bundle
@@ -8,6 +10,7 @@ from fbbmb.problems import example1, example2
 from fbbmb.solver import (
     SingularSystemError,
     SolverConfig,
+    _LeastSquaresProblem,
     kkt_linear_solve,
     newton_solve,
     solve,
@@ -78,6 +81,46 @@ class TestKktLinearSolve:
     def test_singular_matrix(self):
         with pytest.raises(SingularSystemError):
             kkt_linear_solve(np.zeros((3, 3)), np.ones(3))
+
+
+class TestLeastSquaresStep:
+    def test_matches_svd_least_squares(self):
+        sys8 = make_system(example2(0.5), 8, 8)
+        prob = _LeastSquaresProblem(sys8, np.zeros(9), include_nonlinear=True)
+        v = np.zeros(sys8.ordering.size)
+        J, G = prob.jacobian(v), prob.residual(v)
+        warns = []
+        step = prob.newton_step(J, G, warns, 0)
+        oracle, *_ = np.linalg.lstsq(J, -G, rcond=None)
+        assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        assert warns == []
+
+    def test_rank_deficient_gives_minimum_norm_step_and_warns(self, sys_ex1):
+        N = sys_ex1.ordering.size
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((N + 5, 20)) @ rng.standard_normal((20, N))
+        b = rng.standard_normal(N + 5)
+        prob = _LeastSquaresProblem(sys_ex1, np.zeros(5), include_nonlinear=True)
+        warns = []
+        step = prob.newton_step(A, -b, warns, 3)
+        np.testing.assert_allclose(step, np.linalg.pinv(A) @ b, rtol=1e-10, atol=1e-12)
+        assert warns == [f"iteration 3: Jacobian rank 20 < {N}"]
+
+
+class TestEvaluationCounts:
+    # the report reuses the residual and Jacobian the loop already holds
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    def test_one_jacobian_per_iteration_plus_initial(self, sys_ex2, monkeypatch, method):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(fbbmb.solver, "jacobian", counted)
+        rep = solve(sys_ex2, SolverConfig(method=method))
+        assert rep.converged
+        assert len(calls) == rep.iterations + 1
 
 
 class TestAffinePath:
