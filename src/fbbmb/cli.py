@@ -113,11 +113,10 @@ def run(cfg: RunConfig) -> RunResult:
         E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
         aae = compute_aae(U, E)
         max_err = float(np.max(np.abs(U - E)))
-        grid = [
-            [float(x), float(t), float(U[i, j]), float(E[i, j]), float(abs(U[i, j] - E[i, j]))]
-            for i, x in enumerate(xs)
-            for j, t in enumerate(ts)
-        ]
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        grid = np.column_stack(
+            [X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()]
+        ).tolist()
     return RunResult(cfg, aae, max_err, report.wall_time, precompute_seconds,
                      report.iterations, report.converged, grid)
 

@@ -7,11 +7,24 @@ Two formulations are supported:
   the benchmark problems this is the more accurate coupling: the collocation
   and constraint rows carry a small mutual inconsistency that a multiplier
   would otherwise absorb at O(1). Convergence is declared on first-order
-  optimality ||J^T G||_inf <= tol_opt (or on an exact residual root if one
-  exists). Each Gauss-Newton step is one least-squares solve by QR with column
-  pivoting and a complete orthogonal decomposition (LAPACK gelsy). It is
-  rank-revealing: if J loses rank it returns the minimum-norm step, and the
-  report warns.
+  optimality ||J^T G||_inf <= tol_opt, on an exact residual root if one
+  exists, or at the rounding floor (below). Each Gauss-Newton step is a
+  rectangular-LU least-squares solve (Peters & Wilkinson 1970; Bjorck 1996,
+  sec. 2.5): LU with partial pivoting gives P J = [L1; L2] U, B = L2 L1^-1,
+  and the remaining (m+1)-column correction min ||[B^T; I] s - [c1; -c2]||
+  is well-conditioned (||B||_2 is a few units), so it is solved through its
+  (m+1) x (m+1) normal equations. Back-substitution through L1 and U gives
+  the step. When LU cannot give a reliable step (an exact zero pivot, or a
+  trcon estimate of rcond(U) below eps * rows), the step is the minimum-norm
+  solution by QR with column pivoting (LAPACK gelsy), and the report warns if
+  J has lost rank.
+
+  Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
+  larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
+  (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the
+  computed residual, Higham ch. 3), no further iteration can be told from
+  roundoff. Newton and the dogleg then take the full step unless it raises
+  the merit, and stop converged with stop_reason "floor".
 
 * "kkt": root-find the square augmented system [R(v) + C^T mu; C v - Rhat] = 0
   with the exact block Jacobian [[J(v), C^T], [C, 0]]. Enforces the boundary
@@ -26,10 +39,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs, lstsq, lu_factor, lu_solve
+from scipy.linalg import solve as dense_solve
 
 from .assembly import DiscreteSolution, DiscreteSystem, jacobian, reconstruct, residual
 
 COND_WARN_THRESHOLD = 1e14
+EPS = np.finfo(float).eps
+CONVERGED_REASONS = ("residual", "optimality", "floor")
+
+_getrf, _trtrs, _trcon, _laswp = get_lapack_funcs(("getrf", "trtrs", "trcon", "laswp"), dtype=float)
 
 
 class SingularSystemError(RuntimeError):
@@ -63,13 +81,20 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """`final_residual` is the converged stopping measure: the residual inf-norm
-    in the kkt formulation, min(residual, optimality) in least_squares."""
+    in the kkt formulation, min(residual, optimality) in least_squares.
+
+    `stop_reason` names the test that ended the iteration. Converged: "residual"
+    (||G||_inf <= tol_residual), "optimality" (||J^T G||_inf <= tol_opt), "floor"
+    (the step's predicted decrease is below the merit's rounding level). Not
+    converged: "step" (step below tol_step), "stagnation" (30 halvings found no
+    decrease), "max_iters", "radius_underflow" (trust radius below its minimum)."""
 
     solution: DiscreteSolution
     iterations: int
     final_residual: float
     converged: bool
     wall_time: float
+    stop_reason: str
     warnings: tuple[str, ...] = field(default=())
 
 
@@ -117,7 +142,11 @@ class _KktProblem:
         return step
 
     def converged(self, G, J, cfg):
-        return np.max(np.abs(G)) <= cfg.tol_residual
+        """The name of the convergence test G and J pass, or None."""
+        return "residual" if np.max(np.abs(G)) <= cfg.tol_residual else None
+
+    def at_floor(self, z, G, J, step):
+        return False
 
     def measure(self, G, J):
         return float(np.max(np.abs(G)))
@@ -134,6 +163,10 @@ class _LeastSquaresProblem:
         self.mu = np.array(mu0, dtype=float)
         self.nl = include_nonlinear
         self.N = sys.ordering.size
+        # ||Psi||_inf by row blocks, without an N x N temporary
+        self.psi_norm = max(float(np.abs(sys.Psi[i : i + 256]).sum(axis=1).max())
+                            for i in range(0, self.N, 256))
+        self.f_norm = float(np.max(np.abs(sys.F)))
 
     def pack(self, v, mu):
         return np.array(v, dtype=float)
@@ -148,19 +181,46 @@ class _LeastSquaresProblem:
         return jacobian(self.sys, z, self.nl)[:, : self.N]
 
     def newton_step(self, J, G, warns, k):
+        """min ||J p + G|| by rectangular LU (see the module docstring)."""
+        M, N = J.shape
+        lu, piv, info = _getrf(J)
+        top = np.asfortranarray(lu[:N])  # unit L1 below the diagonal, U on and above
+        if info > 0 or _trcon(top)[0] < EPS * M:
+            return self._min_norm_step(J, G, warns, k)
+        Bt, _ = _trtrs(top, lu[N:].T, lower=1, trans=1, unitdiag=1)
+        c = _laswp(-G, piv)
+        c1, c2 = c[:N], c[N:]
+        s = dense_solve(Bt.T @ Bt + np.eye(M - N), Bt.T @ c1 - c2,
+                        assume_a="pos", check_finite=False)
+        y, _ = _trtrs(top, c1 - Bt @ s, lower=1, unitdiag=1)
+        step, _ = _trtrs(top, y)
+        return step
+
+    def _min_norm_step(self, J, G, warns, k):
         # the rank cutoff of np.linalg.lstsq; at scipy's default (eps) the
         # roundoff of an exactly rank-deficient J can count as rank and blow
         # up the step
-        rcond = np.finfo(float).eps * max(J.shape)
+        rcond = EPS * max(J.shape)
         step, _, rank, _ = lstsq(J, -G, cond=rcond, lapack_driver="gelsy", check_finite=False)
         if rank < self.N:
             warns.append(f"iteration {k}: Jacobian rank {rank} < {self.N}")
         return step
 
     def converged(self, G, J, cfg):
+        """The name of the convergence test G and J pass, or None."""
         if np.max(np.abs(G)) <= cfg.tol_residual:
-            return True
-        return np.max(np.abs(J.T @ G)) <= cfg.tol_opt
+            return "residual"
+        if np.max(np.abs(J.T @ G)) <= cfg.tol_opt:
+            return "optimality"
+        return None
+
+    def at_floor(self, z, G, J, step):
+        """Whether the full step's predicted decrease is within the merit's
+        rounding level."""
+        Jp = J @ step
+        level = (np.linalg.norm(G) * np.sqrt(G.size) * EPS
+                 * (self.psi_norm * np.max(np.abs(z)) + self.f_norm))
+        return 0.5 * float(Jp @ Jp) <= level
 
     def measure(self, G, J):
         return float(min(np.max(np.abs(G)), np.max(np.abs(J.T @ G))))
@@ -177,7 +237,7 @@ def _make_problem(sys, mu0, cfg, include_nonlinear):
     return _LeastSquaresProblem(sys, mu0, include_nonlinear)
 
 
-def _make_report(prob, z, G, J, iters, cfg, t0, warns):
+def _make_report(prob, z, G, J, iters, reason, t0, warns):
     """Report on the iterate z, whose residual G and Jacobian J the loop has."""
     v, mu = prob.unpack(z)
     sol = DiscreteSolution(
@@ -191,10 +251,21 @@ def _make_report(prob, z, G, J, iters, cfg, t0, warns):
         solution=sol,
         iterations=iters,
         final_residual=prob.measure(G, J),
-        converged=bool(prob.converged(G, J, cfg)),
+        converged=reason in CONVERGED_REASONS,
         wall_time=time.perf_counter() - t0,
+        stop_reason=reason,
         warnings=tuple(warns),
     )
+
+
+def _floor_report(prob, z, G, J, step, k, t0, warns):
+    """Stop at the rounding floor, after taking the full step unless it raises
+    the merit."""
+    z_new = z + step
+    G_new = prob.residual(z_new)
+    if prob.merit(G_new) <= prob.merit(G):
+        z, G, J, k = z_new, G_new, prob.jacobian(z_new), k + 1
+    return _make_report(prob, z, G, J, k, "floor", t0, warns)
 
 
 def newton_solve(
@@ -213,9 +284,12 @@ def newton_solve(
     G = prob.residual(z)
     J = prob.jacobian(z)
     for k in range(cfg.max_iters):
-        if prob.converged(G, J, cfg):
-            return _make_report(prob, z, G, J, k, cfg, t0, warns)
+        reason = prob.converged(G, J, cfg)
+        if reason:
+            return _make_report(prob, z, G, J, k, reason, t0, warns)
         step = prob.newton_step(J, G, warns, k)
+        if prob.at_floor(z, G, J, step):
+            return _floor_report(prob, z, G, J, step, k, t0, warns)
         merit = prob.merit(G)
         damp = 1.0
         for _ in range(30):
@@ -224,11 +298,15 @@ def newton_solve(
             if prob.merit(G_new) < merit:
                 break
             damp *= 0.5
+        else:
+            return _make_report(prob, z, G, J, k, "stagnation", t0, warns)
         z, G = z_new, G_new
         J = prob.jacobian(z)
         if damp * np.max(np.abs(step)) <= cfg.tol_step:
-            return _make_report(prob, z, G, J, k + 1, cfg, t0, warns)
-    return _make_report(prob, z, G, J, cfg.max_iters, cfg, t0, warns)
+            reason = prob.converged(G, J, cfg) or "step"
+            return _make_report(prob, z, G, J, k + 1, reason, t0, warns)
+    reason = prob.converged(G, J, cfg) or "max_iters"
+    return _make_report(prob, z, G, J, cfg.max_iters, reason, t0, warns)
 
 
 def _dogleg_step(step_newton, g, Jg, radius):
@@ -266,13 +344,19 @@ def trust_region_solve(
     G = prob.residual(z)
     J = prob.jacobian(z)
     k = 0
-    while k < cfg.max_iters and not prob.converged(G, J, cfg):
+    reason = prob.converged(G, J, cfg)
+    while reason is None:
+        if k >= cfg.max_iters:
+            reason = "max_iters"
+            break
         try:
             step_newton = prob.newton_step(J, G, warns, k)
             if not np.all(np.isfinite(step_newton)):
                 step_newton = None
         except SingularSystemError:
             step_newton = None
+        if step_newton is not None and prob.at_floor(z, G, J, step_newton):
+            return _floor_report(prob, z, G, J, step_newton, k, t0, warns)
         g = J.T @ G
         Jg = J @ g
         merit = 0.5 * float(G @ G)
@@ -294,12 +378,14 @@ def trust_region_solve(
             radius *= 0.25
         if not accepted:
             warns.append(f"iteration {k}: trust radius underflow below {cfg.min_trust_radius}")
+            reason = "radius_underflow"
             break
         J = prob.jacobian(z)
         k += 1
-        if step_inf <= cfg.tol_step:
-            break
-    return _make_report(prob, z, G, J, k, cfg, t0, warns)
+        reason = prob.converged(G, J, cfg)
+        if reason is None and step_inf <= cfg.tol_step:
+            reason = "step"
+    return _make_report(prob, z, G, J, k, reason, t0, warns)
 
 
 def solve(

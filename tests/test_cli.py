@@ -1,8 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fbbmb.assembly import GridOrdering, assemble, evaluate_on_mesh
+from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -16,8 +19,9 @@ from fbbmb.cli import (
     run,
     sweep,
 )
+from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import get_problem, register_problems
-from fbbmb.solver import SolverConfig
+from fbbmb.solver import SolverConfig, solve
 
 
 class TestProblemRegistry:
@@ -86,6 +90,24 @@ class TestRun:
         assert res.grid is not None
         assert len(res.grid) == 101 * 101
         assert res.aae < 1e-3
+
+    @pytest.mark.parametrize("mesh", ["slice=1.0", "uniform101"])
+    def test_grid_rows_bit_equal_to_per_point_rows(self, mesh):
+        res = run(RunConfig(problem="example2", alpha=0.5, n=6, m=6, error_mesh=mesh))
+        spec = get_problem("example2", 0.5)
+        ns_x = build_node_set(BasisParams(0.5, 6))
+        ns_t = build_node_set(BasisParams(0.5, 6))
+        sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, 0.5), GridOrdering(6, 6))
+        xs = np.linspace(0.0, 1.0, 101)
+        ts = xs if mesh == "uniform101" else np.array([1.0])
+        U = evaluate_on_mesh(solve(sys_d, SolverConfig()).solution.u, ns_x, ns_t, xs, ts)
+        E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
+        rows = [
+            [float(x), float(t), float(U[i, j]), float(E[i, j]), float(abs(U[i, j] - E[i, j]))]
+            for i, x in enumerate(xs)
+            for j, t in enumerate(ts)
+        ]
+        assert np.array_equal(np.array(res.grid).view(np.int64), np.array(rows).view(np.int64))
 
 
 class TestSweep:
@@ -189,3 +211,7 @@ class TestMain:
     def test_nonconvergence_exit_code(self, capsys):
         code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1"])
         assert code == EXIT_NO_CONVERGENCE
+
+    def test_example2_n32_converges(self, capsys):
+        # stops at the rounding floor; ||J^T G|| never reaches tol_opt here
+        assert main(["--problem", "example2", "--n", "32", "--m", "32"]) == EXIT_OK

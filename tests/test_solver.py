@@ -107,6 +107,71 @@ class TestLeastSquaresStep:
         assert warns == [f"iteration 3: Jacobian rank 20 < {N}"]
 
 
+class TestRectangularLuStep:
+    @pytest.mark.parametrize("factory", [example1, example2])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_svd_least_squares(self, factory, n, monkeypatch):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the pivoted-QR handler ran on a full-rank Jacobian")
+
+        monkeypatch.setattr(fbbmb.solver, "lstsq", no_fallback)
+        sys_n = make_system(factory(0.5), n, n)
+        prob = _LeastSquaresProblem(sys_n, np.zeros(n + 1), include_nonlinear=True)
+        v = np.zeros(sys_n.ordering.size)
+        J, G = prob.jacobian(v), prob.residual(v)
+        step = prob.newton_step(J, G, [], 0)
+        oracle, *_ = np.linalg.lstsq(J, -G, rcond=None)
+        assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+class TestStopReasons:
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    def test_example2_stops_converged_at_rounding_floor(self, method):
+        # ||J^T G|| cannot reach tol_opt here: G does not vanish at the
+        # least-squares minimiser, and J^T G bottoms out at roundoff
+        sys6 = make_system(example2(0.5), 6, 6)
+        rep = solve(sys6, SolverConfig(tol_opt=1e-11, method=method, max_iters=300))
+        assert rep.converged
+        assert rep.stop_reason == "floor"
+
+    def test_example2_n32_converges_in_few_iterations(self):
+        sys32 = make_system(example2(0.5), 32, 32)
+        rep = solve(sys32, SolverConfig())
+        assert rep.converged
+        assert rep.iterations <= 5
+        exact = example2(0.5).exact(sys32.ns_x.nodes[:, None], sys32.ns_t.nodes[None, :])
+        assert np.mean(np.abs(rep.solution.u - exact.reshape(-1))) <= 1e-14
+
+    def test_exhausted_line_search_rejects_trial_point(self, sys_ex2, monkeypatch):
+        ascent = _LeastSquaresProblem.newton_step
+
+        def uphill(self, J, G, warns, k):
+            return -ascent(self, J, G, warns, k)
+
+        monkeypatch.setattr(_LeastSquaresProblem, "newton_step", uphill)
+        v0 = np.zeros(sys_ex2.ordering.size)
+        rep = solve(sys_ex2, SolverConfig())
+        assert rep.stop_reason == "stagnation"
+        assert not rep.converged
+        assert rep.iterations == 0
+        np.testing.assert_array_equal(rep.solution.v, v0)
+
+    @pytest.mark.parametrize(
+        "cfg, reason, converged",
+        [
+            (SolverConfig(formulation="kkt"), "residual", True),
+            (SolverConfig(), "optimality", True),
+            (SolverConfig(max_iters=1, tol_opt=1e-15, tol_residual=1e-15), "max_iters", False),
+            (SolverConfig(tol_step=1e3, tol_opt=1e-15, tol_residual=1e-15), "step", False),
+            (SolverConfig(method="trust_region", min_trust_radius=2.0), "radius_underflow", False),
+        ],
+    )
+    def test_every_exit_names_its_reason(self, sys_ex1, cfg, reason, converged):
+        rep = solve(sys_ex1, cfg)
+        assert rep.stop_reason == reason
+        assert rep.converged == converged
+
+
 class TestEvaluationCounts:
     # the report reuses the residual and Jacobian the loop already holds
     @pytest.mark.parametrize("method", ["newton", "trust_region"])
