@@ -78,7 +78,6 @@ class DiscreteSystem:
 @dataclass(frozen=True)
 class DiscreteSolution:
     v: np.ndarray
-    mu: np.ndarray
     u: np.ndarray
     residual_norm: float
     constraint_norm: float
@@ -122,27 +121,27 @@ def _nonlinear_factors(sys: DiscreteSystem, v: np.ndarray) -> tuple[np.ndarray, 
     return Y, W
 
 
-def residual(
-    sys: DiscreteSystem, v: np.ndarray, mu: np.ndarray, include_nonlinear: bool = True
-) -> np.ndarray:
-    """KKT residual: [Psi v + N(v) - F + C^T mu; C v - Rhat]. The nonlinear term
-    N(v) = Y(v) .* W(v) can be suppressed for linear-path testing."""
-    top = sys.Psi @ v - sys.F + sys.C.T @ mu
-    if include_nonlinear:
-        Y, W = _nonlinear_factors(sys, v)
-        top = top + Y * W
+def residual(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
+    """Stacked residual [Psi v + N(v) - F; C v - Rhat] with the nonlinear term
+    N(v) = Y(v) .* W(v)."""
+    Y, W = _nonlinear_factors(sys, v)
+    top = sys.Psi @ v - sys.F + Y * W
     return np.concatenate([top, sys.C @ v - sys.Rhat])
 
 
-def jacobian(sys: DiscreteSystem, v: np.ndarray, include_nonlinear: bool = True) -> np.ndarray:
-    """Exact Jacobian of the KKT residual: [[J(v), C^T], [C, 0]] with
-    J(v) = Psi + Diag(W) K_tn + Diag(Y) Q_tx."""
-    J = sys.Psi.copy()
-    if include_nonlinear:
-        Y, W = _nonlinear_factors(sys, v)
-        J += W[:, None] * sys.K_tn + Y[:, None] * sys.Q_tx
-    mrows = sys.C.shape[0]
-    return np.block([[J, sys.C.T], [sys.C, np.zeros((mrows, mrows))]])
+def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
+    """Exact (N+m+1) x N Jacobian of the residual, [J(v); C] with
+    J(v) = Psi + Diag(W) K_tn + Diag(Y) Q_tx, written into one array with one
+    N x N temporary."""
+    N = sys.ordering.size
+    Y, W = _nonlinear_factors(sys, v)
+    out = np.empty((N + sys.C.shape[0], N))
+    top = out[:N]
+    np.multiply(W[:, None], sys.K_tn, out=top)
+    top += Y[:, None] * sys.Q_tx
+    top += sys.Psi
+    out[N:] = sys.C
+    return out
 
 
 def reconstruct(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:

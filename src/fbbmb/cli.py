@@ -38,7 +38,7 @@ class RunConfig:
     n1: int = 14
     n2: int = 14
     lam: float = 0.5
-    lam1: float = 0.5
+    lam1: float = 0.5  # lam1, lam2: validated and recorded, alter no matrix
     lam2: float = 0.5
     solver: SolverConfig = field(default_factory=SolverConfig)
     error_mesh: str = "collocation"  # "collocation" | "uniform101" | "slice=<t>"
@@ -88,7 +88,7 @@ def run(cfg: RunConfig) -> RunResult:
     t_pre = time.perf_counter()
     ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
     ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
-    ops = build_operator_bundle(ns_x, ns_t, cfg.alpha, cfg.n1, cfg.lam1, cfg.n2, cfg.lam2)
+    ops = build_operator_bundle(ns_x, ns_t, cfg.alpha, cfg.n1, cfg.n2)
     sys_d = assemble(spec, ops, GridOrdering(cfg.n, cfg.m))
     precompute_seconds = time.perf_counter() - t_pre
 

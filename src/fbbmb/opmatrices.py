@@ -11,48 +11,14 @@ from math import ceil, gamma
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .basis import BasisParams, NodeSet, ParameterDomainError, cardinal_matrix
+from .basis import NodeSet, ParameterDomainError, cardinal_matrix
 
 
 class DegenerateGridError(ValueError):
     """Raised when a grid is too small for the requested operator."""
 
 
-@dataclass(frozen=True)
-class DiffMatrix:
-    entries: np.ndarray
-    basis: NodeSet
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: np.ndarray
-    basis: NodeSet
-
-
-@dataclass(frozen=True)
-class IntRowVector:
-    entries: np.ndarray
-    basis: NodeSet
-
-
-@dataclass(frozen=True)
-class FracIntMatrix:
-    entries: np.ndarray
-    basis: NodeSet
-    beta: float
-    quad_params: tuple[int, float]
-
-
-@dataclass(frozen=True)
-class CaputoMatrix:
-    entries: np.ndarray
-    basis: NodeSet
-    alpha: float
-    quad_params: tuple[int, float]
-
-
-def build_sgdm(ns: NodeSet) -> DiffMatrix:
+def build_sgdm(ns: NodeSet) -> np.ndarray:
     """First-order differentiation matrix from barycentric weights, with the
     negative-sum trick on the diagonal."""
     if ns.n < 1:
@@ -63,7 +29,7 @@ def build_sgdm(ns: NodeSet) -> DiffMatrix:
     D = (w[None, :] / w[:, None]) / dx
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
-    return DiffMatrix(D, ns)
+    return D
 
 
 def _aux_legendre(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +38,7 @@ def _aux_legendre(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return a + (b - a) * (g + 1.0) / 2.0, gw * (b - a) / 2.0
 
 
-def build_sgim(ns: NodeSet) -> IntMatrix:
+def build_sgim(ns: NodeSet) -> np.ndarray:
     """Cumulative integration matrix: Q[i, j] = integral of the j-th cardinal
     function over [0, x_i], via an auxiliary Gauss-Legendre rule exact for the
     degree-n integrand."""
@@ -81,18 +47,18 @@ def build_sgim(ns: NodeSet) -> IntMatrix:
     for i, xi in enumerate(ns.nodes):
         y, yw = _aux_legendre(npts, 0.0, xi)
         Q[i, :] = yw @ cardinal_matrix(ns, y)
-    return IntMatrix(Q, ns)
+    return Q
 
 
-def build_sgirv(ns: NodeSet) -> IntRowVector:
+def build_sgirv(ns: NodeSet) -> np.ndarray:
     """Full-interval integration row vector: P[j] = integral of the j-th cardinal
     function over [0, 1]."""
     npts = ceil((ns.n + 3) / 2)
     y, yw = _aux_legendre(npts, 0.0, 1.0)
-    return IntRowVector((yw @ cardinal_matrix(ns, y)).reshape(1, -1), ns)
+    return (yw @ cardinal_matrix(ns, y)).reshape(1, -1)
 
 
-def build_rl_fsgim(ns_t: NodeSet, beta: float, n2: int, lam2: float) -> FracIntMatrix:
+def build_rl_fsgim(ns_t: NodeSet, beta: float, n2: int) -> np.ndarray:
     """Riemann-Liouville fractional integration matrix of order beta in (0, 1].
 
     Row j applies (I^beta g)(t_j) to nodal data via the scaling tau = t_j * s,
@@ -100,13 +66,11 @@ def build_rl_fsgim(ns_t: NodeSet, beta: float, n2: int, lam2: float) -> FracIntM
     integrated with an (n2+1)-point Gauss-Jacobi rule with weight (1-s)^(beta-1)
     that absorbs the endpoint singularity. The remaining integrand is the
     degree-m cardinal polynomial, so the rule is exact whenever 2*n2 + 1 >= m.
-    lam2 is validated and recorded but does not alter the realized rule: any
-    s^(lam2-1/2) reweighting would need a non-polynomial compensation factor
-    and lose that exactness.
+    The rule takes no Gegenbauer index: any s^(lam-1/2) reweighting would need
+    a non-polynomial compensation factor and lose that exactness.
     """
     if not 0.0 < beta <= 1.0:
         raise ParameterDomainError(f"fractional order beta={beta} outside (0, 1]")
-    BasisParams(lam2, max(n2, 0))  # validate the quadrature index window
     if n2 < 0:
         raise ParameterDomainError(f"quadrature degree n2={n2} must be nonnegative")
     s, sw = roots_jacobi(n2 + 1, beta - 1.0, 0.0)
@@ -117,25 +81,24 @@ def build_rl_fsgim(ns_t: NodeSet, beta: float, n2: int, lam2: float) -> FracIntM
     for j, tj in enumerate(ns_t.nodes):
         L = cardinal_matrix(ns_t, tj * s)
         B[j, :] = (tj**beta / gamma(beta)) * (sw @ L)
-    return FracIntMatrix(B, ns_t, beta, (n2, lam2))
+    return B
 
 
-def build_c_fsgim(ns_t: NodeSet, alpha: float, n1: int, lam1: float) -> CaputoMatrix:
+def build_c_fsgim(ns_t: NodeSet, alpha: float, n1: int) -> np.ndarray:
     """Caputo fractional differentiation matrix of order alpha in (0, 1], realized
     as the order-(1-alpha) RL integration of the first derivative; alpha = 1
     returns the plain differentiation matrix."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"fractional order alpha={alpha} outside (0, 1]")
-    D = build_sgdm(ns_t).entries
+    D = build_sgdm(ns_t)
     if alpha == 1.0:
-        return CaputoMatrix(D, ns_t, alpha, (n1, lam1))
-    B = build_rl_fsgim(ns_t, 1.0 - alpha, n1, lam1).entries
-    return CaputoMatrix(B @ D, ns_t, alpha, (n1, lam1))
+        return D
+    return build_rl_fsgim(ns_t, 1.0 - alpha, n1) @ D
 
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """All precomputed matrices for one (n, m, alpha, lambda...) configuration."""
+    """All precomputed matrices for one (node sets, alpha, n1, n2) configuration."""
 
     ns_x: NodeSet
     ns_t: NodeSet
@@ -143,7 +106,6 @@ class OperatorBundle:
     D_x: np.ndarray
     Q_x: np.ndarray
     P_x: np.ndarray
-    D_t: np.ndarray
     Q_t: np.ndarray
     rl_frac: np.ndarray  # order 1 - alpha; identity at alpha = 1
     caputo: np.ndarray  # order alpha
@@ -154,27 +116,24 @@ def build_operator_bundle(
     ns_t: NodeSet,
     alpha: float,
     n1: int = 14,
-    lam1: float = 0.5,
     n2: int = 14,
-    lam2: float = 0.5,
 ) -> OperatorBundle:
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"fractional order alpha={alpha} outside (0, 1]")
     if alpha == 1.0:
         rl = np.eye(ns_t.n + 1)
     else:
-        rl = build_rl_fsgim(ns_t, 1.0 - alpha, n2, lam2).entries
+        rl = build_rl_fsgim(ns_t, 1.0 - alpha, n2)
     return OperatorBundle(
         ns_x=ns_x,
         ns_t=ns_t,
         alpha=alpha,
-        D_x=build_sgdm(ns_x).entries,
-        Q_x=build_sgim(ns_x).entries,
-        P_x=build_sgirv(ns_x).entries,
-        D_t=build_sgdm(ns_t).entries,
-        Q_t=build_sgim(ns_t).entries,
+        D_x=build_sgdm(ns_x),
+        Q_x=build_sgim(ns_x),
+        P_x=build_sgirv(ns_x),
+        Q_t=build_sgim(ns_t),
         rl_frac=rl,
-        caputo=build_c_fsgim(ns_t, alpha, n1, lam1).entries,
+        caputo=build_c_fsgim(ns_t, alpha, n1),
     )
 
 

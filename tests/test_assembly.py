@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,12 @@ def make_system(spec, n, m, **bundle_kwargs):
     ns_t = build_node_set(BasisParams(0.5, m))
     ops = build_operator_bundle(ns_x, ns_t, spec.alpha, **bundle_kwargs)
     return assemble(spec, ops, GridOrdering(n, m))
+
+
+def without_nonlinear_term(sys):
+    # for phi = 0 (example1, example2) phi' = 0, so zeroing K_tn makes
+    # Y(v) = K_tn v + phi' vanish and with it the nonlinear term Y .* W
+    return dataclasses.replace(sys, K_tn=np.zeros_like(sys.K_tn))
 
 
 class TestGridOrdering:
@@ -129,22 +138,20 @@ class TestResidual:
     def test_zero_guess(self):
         sys = make_system(example1(0.5), 4, 4)
         v = np.zeros(sys.ordering.size)
-        mu = np.zeros(5)
-        G = residual(sys, v, mu)
+        G = residual(sys, v)
         # example 1: S = phi' = 0, so N(0) = 0 and the residual is [-F; 0]
         np.testing.assert_allclose(G[: v.size], -sys.F, atol=1e-15)
         np.testing.assert_allclose(G[v.size :], 0.0, atol=1e-15)
 
     def test_linear_path_is_affine(self):
-        sys = make_system(example2(0.5), 3, 3)
+        sys = without_nonlinear_term(make_system(example2(0.5), 3, 3))
         rng = np.random.default_rng(3)
         v1 = rng.standard_normal(sys.ordering.size)
         v2 = rng.standard_normal(sys.ordering.size)
-        mu = np.zeros(4)
-        r0 = residual(sys, np.zeros_like(v1), mu, include_nonlinear=False)
-        r1 = residual(sys, v1, mu, include_nonlinear=False)
-        r2 = residual(sys, v2, mu, include_nonlinear=False)
-        r12 = residual(sys, v1 + v2, mu, include_nonlinear=False)
+        r0 = residual(sys, np.zeros_like(v1))
+        r1 = residual(sys, v1)
+        r2 = residual(sys, v2)
+        r12 = residual(sys, v1 + v2)
         np.testing.assert_allclose(r12, r1 + r2 - r0, atol=1e-10)
 
     def test_exact_field_near_root(self):
@@ -154,47 +161,50 @@ class TestResidual:
         sys = make_system(spec, 16, 16)
         x, t = sys.ns_x.nodes, sys.ns_t.nodes
         v = (2.0 * t[None, :] * np.exp(x[:, None])).reshape(-1)
-        G = residual(sys, v, np.zeros(17))
+        G = residual(sys, v)
         assert np.max(np.abs(G[: v.size])) < 1e-9
         assert np.max(np.abs(G[v.size :])) < 1e-12
-
-    def test_multiplier_enters_through_constraint_rows(self):
-        sys = make_system(example1(0.5), 3, 3)
-        v = np.zeros(sys.ordering.size)
-        mu = np.arange(1.0, 5.0)
-        diff = residual(sys, v, mu) - residual(sys, v, np.zeros(4))
-        np.testing.assert_allclose(diff[: v.size], sys.C.T @ mu, atol=1e-15)
-        np.testing.assert_allclose(diff[v.size :], 0.0, atol=1e-15)
 
 
 class TestJacobian:
     @pytest.mark.parametrize("nl", [True, False])
     def test_against_finite_differences(self, nl):
         sys = make_system(example2(0.5), 3, 3)
+        if not nl:
+            sys = without_nonlinear_term(sys)
         rng = np.random.default_rng(11)
         v = 0.3 * rng.standard_normal(sys.ordering.size)
-        mu = 0.3 * rng.standard_normal(4)
-        z = np.concatenate([v, mu])
-        J = jacobian(sys, v, include_nonlinear=nl)
+        J = jacobian(sys, v)
         h = 1e-7
         fd = np.empty_like(J)
-        for c in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[c] += h
-            zm[c] -= h
-            fd[:, c] = (
-                residual(sys, zp[: v.size], zp[v.size :], nl)
-                - residual(sys, zm[: v.size], zm[v.size :], nl)
-            ) / (2.0 * h)
+        for c in range(v.size):
+            vp, vm = v.copy(), v.copy()
+            vp[c] += h
+            vm[c] -= h
+            fd[:, c] = (residual(sys, vp) - residual(sys, vm)) / (2.0 * h)
         scale = max(1.0, np.max(np.abs(J)))
         assert np.max(np.abs(J - fd)) / scale < 1e-6
 
-    def test_multiplier_block_is_zero(self):
-        sys = make_system(example1(0.5), 3, 3)
-        J = jacobian(sys, np.zeros(sys.ordering.size))
-        mrows = sys.C.shape[0]
-        np.testing.assert_array_equal(J[-mrows:, -mrows:], 0.0)
-        np.testing.assert_allclose(J[:-mrows, -mrows:], sys.C.T)
+    def test_shape_and_constraint_rows(self):
+        n, m = 3, 4
+        sys = make_system(example2(0.5), n, m)
+        N = sys.ordering.size
+        J = jacobian(sys, np.zeros(N))
+        assert J.shape == (N + m + 1, N)
+        np.testing.assert_array_equal(J[N:], sys.C)
+
+    def test_peak_memory_at_most_one_temporary(self):
+        # the Jacobian is written into one (N+m+1) x N array with at most one
+        # N x N temporary: no (N+m+1)^2 block and no copy of Psi
+        sys = make_system(example2(0.5), 16, 16)
+        v = np.zeros(sys.ordering.size)
+        tracemalloc.start()
+        try:
+            J = jacobian(sys, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * J.nbytes
 
 
 class TestReconstruct:
@@ -256,5 +266,5 @@ class TestManufacturedResidualExactness:
             sys = make_system(spec, s, s)
             x, t = sys.ns_x.nodes, sys.ns_t.nodes
             v = ((2.0 * x - 3.0 * x**2)[:, None] * 2.0 * t[None, :]).reshape(-1)
-            G = residual(sys, v, np.zeros(s + 1))
+            G = residual(sys, v)
             assert np.max(np.abs(G)) < 1e-10

@@ -34,19 +34,19 @@ class TestDiffMatrix:
             build_sgdm(build_node_set(BasisParams(0.5, 0)))
 
     def test_rows_sum_to_zero(self, ns8):
-        D = build_sgdm(ns8).entries
+        D = build_sgdm(ns8)
         np.testing.assert_allclose(D.sum(axis=1), 0.0, atol=1e-11)
 
     def test_constant_annihilated(self, ns8):
-        D = build_sgdm(ns8).entries
+        D = build_sgdm(ns8)
         np.testing.assert_allclose(D @ np.ones(9), 0.0, atol=1e-11)
 
     def test_square_differentiated_exactly(self, ns5):
-        D = build_sgdm(ns5).entries
+        D = build_sgdm(ns5)
         np.testing.assert_allclose(D @ ns5.nodes**2, 2 * ns5.nodes, atol=1e-11)
 
     def test_sin_against_fd_and_analytic(self, ns8):
-        D = build_sgdm(ns8).entries
+        D = build_sgdm(ns8)
         got = D @ np.sin(ns8.nodes)
         fd = np.array([fd_derivative(math.sin, x, 1e-6) for x in ns8.nodes])
         np.testing.assert_allclose(got, fd, atol=1e-7)
@@ -55,23 +55,23 @@ class TestDiffMatrix:
 
 class TestIntMatrix:
     def test_constant_integrates_to_nodes(self, ns8):
-        Q = build_sgim(ns8).entries
+        Q = build_sgim(ns8)
         np.testing.assert_allclose(Q @ np.ones(9), ns8.nodes, atol=1e-12)
 
     def test_cubic_antiderivative(self):
         ns = build_node_set(BasisParams(0.5, 4))
-        Q = build_sgim(ns).entries
+        Q = build_sgim(ns)
         np.testing.assert_allclose(Q @ ns.nodes**3, ns.nodes**4 / 4, atol=1e-13)
 
     def test_single_node_grid(self):
         ns = build_node_set(BasisParams(0.5, 0))
-        Q = build_sgim(ns).entries
+        Q = build_sgim(ns)
         np.testing.assert_allclose(Q, [[ns.nodes[0]]], atol=1e-15)
 
     def test_fundamental_theorem(self, ns8):
         # D(Q g) = g for polynomial data up to degree m-1
-        D = build_sgdm(ns8).entries
-        Q = build_sgim(ns8).entries
+        D = build_sgdm(ns8)
+        Q = build_sgim(ns8)
         for k in range(8):
             g = ns8.nodes**k
             np.testing.assert_allclose(D @ (Q @ g), g, atol=1e-9)
@@ -79,16 +79,16 @@ class TestIntMatrix:
 
 class TestIntRowVector:
     def test_constant(self, ns5):
-        P = build_sgirv(ns5).entries
+        P = build_sgirv(ns5)
         assert P.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_identity_data(self):
         ns = build_node_set(BasisParams(0.5, 3))
-        P = build_sgirv(ns).entries
+        P = build_sgirv(ns)
         assert P[0] @ ns.nodes == pytest.approx(0.5, abs=1e-13)
 
     def test_quintic(self, ns5):
-        P = build_sgirv(ns5).entries
+        P = build_sgirv(ns5)
         assert P[0] @ ns5.nodes**5 == pytest.approx(1.0 / 6.0, abs=1e-13)
 
 
@@ -96,27 +96,27 @@ class TestFracIntMatrix:
     def test_beta_out_of_range(self, ns5):
         for bad in (0.0, -0.3, 1.2):
             with pytest.raises(ParameterDomainError):
-                build_rl_fsgim(ns5, bad, 14, 0.5)
+                build_rl_fsgim(ns5, bad, 14)
 
     def test_beta_one_matches_plain_integration(self, ns8):
-        B = build_rl_fsgim(ns8, 1.0, 14, 0.5).entries
-        Q = build_sgim(ns8).entries
+        B = build_rl_fsgim(ns8, 1.0, 14)
+        Q = build_sgim(ns8)
         for k in range(9):
             np.testing.assert_allclose(B @ ns8.nodes**k, Q @ ns8.nodes**k, atol=1e-12)
 
     def test_half_order_constant(self, ns8):
-        B = build_rl_fsgim(ns8, 0.5, 14, 0.5).entries
+        B = build_rl_fsgim(ns8, 0.5, 14)
         expected = ns8.nodes**0.5 / math.gamma(1.5)
         np.testing.assert_allclose(B @ np.ones(9), expected, atol=1e-10)
 
     def test_half_order_linear(self, ns8):
-        B = build_rl_fsgim(ns8, 0.5, 14, 0.5).entries
+        B = build_rl_fsgim(ns8, 0.5, 14)
         expected = math.gamma(2.0) / math.gamma(2.5) * ns8.nodes**1.5
         np.testing.assert_allclose(B @ ns8.nodes, expected, atol=1e-10)
 
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
     def test_power_rule_sweep(self, ns8, beta):
-        B = build_rl_fsgim(ns8, beta, 14, 0.5).entries
+        B = build_rl_fsgim(ns8, beta, 14)
         for k in range(8):
             expected = np.array([rlfi_power_rule(k, beta, t) for t in ns8.nodes])
             np.testing.assert_allclose(B @ ns8.nodes**k, expected, atol=1e-9)
@@ -124,64 +124,54 @@ class TestFracIntMatrix:
     def test_semigroup(self, ns8):
         # intermediate B^0.4 g has a fractional power t^(k+0.4); its nodal
         # re-interpolation aliases hard for low k, so spot-check at degree m-1
-        B3 = build_rl_fsgim(ns8, 0.3, 14, 0.5).entries
-        B4 = build_rl_fsgim(ns8, 0.4, 14, 0.5).entries
-        B7 = build_rl_fsgim(ns8, 0.7, 14, 0.5).entries
+        B3 = build_rl_fsgim(ns8, 0.3, 14)
+        B4 = build_rl_fsgim(ns8, 0.4, 14)
+        B7 = build_rl_fsgim(ns8, 0.7, 14)
         g = ns8.nodes**7
         np.testing.assert_allclose(B3 @ (B4 @ g), B7 @ g, atol=1e-7)
 
     def test_semigroup_aliasing_shrinks_with_degree(self, ns8):
-        B3 = build_rl_fsgim(ns8, 0.3, 14, 0.5).entries
-        B4 = build_rl_fsgim(ns8, 0.4, 14, 0.5).entries
-        B7 = build_rl_fsgim(ns8, 0.7, 14, 0.5).entries
+        B3 = build_rl_fsgim(ns8, 0.3, 14)
+        B4 = build_rl_fsgim(ns8, 0.4, 14)
+        B7 = build_rl_fsgim(ns8, 0.7, 14)
         errs = [
             np.max(np.abs(B3 @ (B4 @ ns8.nodes**k) - B7 @ ns8.nodes**k))
             for k in (0, 3, 7)
         ]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_quad_params_recorded(self, ns5):
-        fim = build_rl_fsgim(ns5, 0.5, 12, 1.0)
-        assert fim.beta == 0.5
-        assert fim.quad_params == (12, 1.0)
-
-    def test_nondefault_lambda2_keeps_exactness(self, ns8):
-        B = build_rl_fsgim(ns8, 0.5, 14, 1.0).entries
-        expected = ns8.nodes**0.5 / math.gamma(1.5)
-        np.testing.assert_allclose(B @ np.ones(9), expected, atol=1e-10)
-
 
 class TestCaputoMatrix:
     def test_alpha_out_of_range(self, ns5):
         with pytest.raises(ParameterDomainError):
-            build_c_fsgim(ns5, 1.5, 14, 0.5)
+            build_c_fsgim(ns5, 1.5, 14)
 
     def test_constant_annihilated(self, ns8):
-        A = build_c_fsgim(ns8, 0.5, 14, 0.5).entries
+        A = build_c_fsgim(ns8, 0.5, 14)
         np.testing.assert_allclose(A @ np.ones(9), 0.0, atol=1e-10)
 
     def test_half_order_fractional_power(self, ns8):
         # on t^1.5 data the matrix is exact for the Caputo of the interpolant
         # (checked at 1e-9 against the quadrature oracle in test_oracles); the
         # gap to the analytic power rule is pure interpolation aliasing
-        A = build_c_fsgim(ns8, 0.5, 14, 0.5).entries
+        A = build_c_fsgim(ns8, 0.5, 14)
         expected = math.gamma(2.5) / math.gamma(2.0) * ns8.nodes
         err8 = np.max(np.abs(A @ ns8.nodes**1.5 - expected))
         assert err8 < 1e-2
         ns32 = build_node_set(BasisParams(0.5, 32))
-        A32 = build_c_fsgim(ns32, 0.5, 34, 0.5).entries
+        A32 = build_c_fsgim(ns32, 0.5, 34)
         expected32 = math.gamma(2.5) / math.gamma(2.0) * ns32.nodes
         err32 = np.max(np.abs(A32 @ ns32.nodes**1.5 - expected32))
         assert err32 < err8 / 10
 
     def test_alpha_one_is_classical_derivative(self, ns8):
-        A = build_c_fsgim(ns8, 1.0, 14, 0.5).entries
+        A = build_c_fsgim(ns8, 1.0, 14)
         np.testing.assert_allclose(A @ ns8.nodes**2, 2 * ns8.nodes, atol=1e-11)
-        np.testing.assert_allclose(A, build_sgdm(ns8).entries)
+        np.testing.assert_allclose(A, build_sgdm(ns8))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_caputo_power_rule_sweep(self, ns8, alpha):
-        A = build_c_fsgim(ns8, alpha, 14, 0.5).entries
+        A = build_c_fsgim(ns8, alpha, 14)
         for k in range(1, 8):
             expected = np.array([caputo_power_rule(k, alpha, t) for t in ns8.nodes])
             np.testing.assert_allclose(A @ ns8.nodes**k, expected, atol=1e-8)
@@ -202,13 +192,13 @@ class TestOperatorBundle:
 
 class TestMatrixDump:
     def test_json_round_trip(self, tmp_path, ns5):
-        M = build_sgdm(ns5).entries
+        M = build_sgdm(ns5)
         path = tmp_path / "d.json"
         save_matrix(M, path)
         np.testing.assert_array_equal(load_matrix(path), M)
 
     def test_binary_round_trip(self, tmp_path, ns5):
-        M = build_sgim(ns5).entries
+        M = build_sgim(ns5)
         path = tmp_path / "q.bin"
         save_matrix(M, path)
         np.testing.assert_array_equal(load_matrix(path), M)
