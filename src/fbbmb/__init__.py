@@ -10,8 +10,10 @@ from .assembly import (
     compute_aae,
     evaluate_on_mesh,
     jacobian,
+    jvp,
     reconstruct,
     residual,
+    vjp,
 )
 from .basis import BasisParams, NodeSet, build_node_set, interpolate
 from .opmatrices import OperatorBundle, build_operator_bundle
@@ -32,6 +34,8 @@ __all__ = [
     "assemble",
     "residual",
     "jacobian",
+    "jvp",
+    "vjp",
     "reconstruct",
     "evaluate_on_mesh",
     "compute_aae",

@@ -3,6 +3,13 @@
 Grid ordering is space-major throughout: a nodal field g(x_i, t_j) is vectorized
 as vec[i*(m+1) + j], so every Kronecker product reads A_space (x) B_time and
 (A (x) B) vec(g) == vec(A @ G @ B.T) for the (n+1) x (m+1) matrix G.
+
+The system keeps its operators as those 1-D factors. The linear part
+Psi = Q_x (x) rl_frac - D_x (x) I and the nonlinear-term operators
+K_tn = I (x) Q_t and Q_tx = Q_x (x) Q_t are applied as (n+1) x (m+1) matrix
+sandwiches at O(N (n+m)) each, N = (n+1)(m+1); so are the Jacobian products
+`jvp` and `vjp`. Only `jacobian` forms a dense matrix, the (N+m+1) x N
+[J(v); C] that a linear step factorizes.
 """
 
 from __future__ import annotations
@@ -59,15 +66,16 @@ class GridOrdering:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled collocation system: linear part Psi, nonlinear-term operators,
-    data vectors, and the boundary integral constraint C v = Rhat."""
+    """Assembled collocation system: the 1-D operator factors of Psi, K_tn and
+    Q_tx, data vectors, and the boundary integral constraint C v = Rhat."""
 
     ordering: GridOrdering
     ns_x: NodeSet
     ns_t: NodeSet
-    Psi: np.ndarray
-    K_tn: np.ndarray
-    Q_tx: np.ndarray
+    Q_x: np.ndarray
+    D_x: np.ndarray
+    rl_frac: np.ndarray
+    Q_t: np.ndarray
     S: np.ndarray
     phi_prime: np.ndarray
     F: np.ndarray
@@ -96,9 +104,6 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle, ordering: GridOrdering) -> 
     ones_t = np.ones(m + 1)
     ones_x = np.ones(n + 1)
 
-    Psi = np.kron(ops.Q_x, ops.rl_frac) - np.kron(ops.D_x, np.eye(m + 1))
-    K_tn = np.kron(np.eye(n + 1), ops.Q_t)
-    Q_tx = np.kron(ops.Q_x, ops.Q_t)
     C = np.kron(ops.P_x, ops.Q_t)
 
     phi_x = np.array([spec.phi(xi) for xi in x])
@@ -112,41 +117,80 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle, ordering: GridOrdering) -> 
     F = np.asarray(f_grid, dtype=float).reshape(-1) - np.kron(ones_x, ops.caputo @ psi1_t)
     Rhat = psi2_t - psi1_t - (phi1 - phi0) * ones_t
 
-    return DiscreteSystem(ordering, ops.ns_x, ops.ns_t, Psi, K_tn, Q_tx, S, phi_prime, F, C, Rhat)
+    return DiscreteSystem(ordering, ops.ns_x, ops.ns_t, ops.Q_x, ops.D_x, ops.rl_frac,
+                          ops.Q_t, S, phi_prime, F, C, Rhat)
+
+
+def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
+    """The (n+1) x (m+1) matrix whose space-major vectorization is v."""
+    return v.reshape(sys.ordering.n + 1, sys.ordering.m + 1)
 
 
 def _nonlinear_factors(sys: DiscreteSystem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    Y = sys.K_tn @ v + sys.phi_prime
-    W = 1.0 + sys.S + sys.Q_tx @ v
+    """Y = K_tn v + phi' and W = 1 + S + Q_tx v, as (n+1) x (m+1) grids."""
+    V = _grid(sys, v)
+    VQt = V @ sys.Q_t.T
+    Y = VQt + _grid(sys, sys.phi_prime)
+    W = 1.0 + _grid(sys, sys.S) + sys.Q_x @ VQt
     return Y, W
 
 
 def residual(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """Stacked residual [Psi v + N(v) - F; C v - Rhat] with the nonlinear term
     N(v) = Y(v) .* W(v)."""
+    V = _grid(sys, v)
     Y, W = _nonlinear_factors(sys, v)
-    top = sys.Psi @ v - sys.F + Y * W
-    return np.concatenate([top, sys.C @ v - sys.Rhat])
+    top = sys.Q_x @ V @ sys.rl_frac.T - sys.D_x @ V - _grid(sys, sys.F) + Y * W
+    return np.concatenate([top.reshape(-1), sys.C @ v - sys.Rhat])
+
+
+def jvp(sys: DiscreteSystem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """[J(v); C] p with J(v) = Psi + Diag(W) K_tn + Diag(Y) Q_tx, without
+    forming J."""
+    P = _grid(sys, p)
+    Y, W = _nonlinear_factors(sys, v)
+    QP = sys.Q_x @ P
+    top = QP @ sys.rl_frac.T - sys.D_x @ P + W * (P @ sys.Q_t.T) + Y * (QP @ sys.Q_t.T)
+    return np.concatenate([top.reshape(-1), sys.C @ p])
+
+
+def vjp(sys: DiscreteSystem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[J(v); C]^T q for q of length N+m+1, without forming J."""
+    N = sys.ordering.size
+    Qm = _grid(sys, q[:N])
+    Y, W = _nonlinear_factors(sys, v)
+    top = (sys.Q_x.T @ (Qm @ sys.rl_frac + (Y * Qm) @ sys.Q_t) - sys.D_x.T @ Qm
+           + (W * Qm) @ sys.Q_t)
+    return top.reshape(-1) + sys.C.T @ q[N:]
 
 
 def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
-    """Exact (N+m+1) x N Jacobian of the residual, [J(v); C] with
-    J(v) = Psi + Diag(W) K_tn + Diag(Y) Q_tx, written into one array with one
-    N x N temporary."""
-    N = sys.ordering.size
+    """Exact (N+m+1) x N Jacobian of the residual, [J(v); C], in a Fortran-ordered
+    array (so LAPACK can factor it in place), written from the factors with no
+    N x N temporary.
+
+    Entry ((i, j), (p, q)) of J(v) is
+    Q_x[i,p] (rl_frac[j,q] + Y[i,j] Q_t[j,q]) - D_x[i,p] [j=q] + W[i,j] Q_t[j,q] [i=p];
+    the first term is one broadcast product into the whole block, the other two
+    touch only its (n+1)^2 (m+1) and (n+1)(m+1)^2 structured entries.
+    """
+    n1, m1 = sys.ordering.n + 1, sys.ordering.m + 1
+    N = n1 * m1
     Y, W = _nonlinear_factors(sys, v)
-    out = np.empty((N + sys.C.shape[0], N))
-    top = out[:N]
-    np.multiply(W[:, None], sys.K_tn, out=top)
-    top += Y[:, None] * sys.Q_tx
-    top += sys.Psi
-    out[N:] = sys.C
-    return out
+    out_t = np.empty((N, N + m1))  # out_t[(p, q), (i, j)] = J[(i, j), (p, q)]
+    T4 = out_t[:, :N].reshape(n1, m1, n1, m1)
+    A = sys.rl_frac.T[:, None, :] + Y[None, :, :] * sys.Q_t.T[:, None, :]  # [q, i, j]
+    np.multiply(sys.Q_x.T[:, None, :, None], A[None], out=T4)
+    a_n, a_m = np.arange(n1), np.arange(m1)
+    T4[:, a_m, :, a_m] -= sys.D_x.T[None]  # [q, p, i]: the j = q entries
+    T4[a_n, :, a_n, :] += W[:, None, :] * sys.Q_t.T[None]  # [p, q, j]: the i = p entries
+    out_t[:, N:] = sys.C.T
+    return out_t.T
 
 
 def reconstruct(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """Nodal solution values u = S + Q_tx v in the fixed ordering."""
-    return sys.S + sys.Q_tx @ v
+    return sys.S + (sys.Q_x @ _grid(sys, v) @ sys.Q_t.T).reshape(-1)
 
 
 def evaluate_on_mesh(

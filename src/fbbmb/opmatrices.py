@@ -42,11 +42,11 @@ def build_sgim(ns: NodeSet) -> np.ndarray:
     """Cumulative integration matrix: Q[i, j] = integral of the j-th cardinal
     function over [0, x_i], via an auxiliary Gauss-Legendre rule exact for the
     degree-n integrand."""
-    npts = ceil((ns.n + 3) / 2)
+    g, gw = np.polynomial.legendre.leggauss(ceil((ns.n + 3) / 2))
     Q = np.empty((ns.n + 1, ns.n + 1))
     for i, xi in enumerate(ns.nodes):
-        y, yw = _aux_legendre(npts, 0.0, xi)
-        Q[i, :] = yw @ cardinal_matrix(ns, y)
+        # one Legendre rule on [-1, 1], mapped to [0, xi] as _aux_legendre does
+        Q[i, :] = (gw * xi / 2.0) @ cardinal_matrix(ns, xi * (g + 1.0) / 2.0)
     return Q
 
 

@@ -8,6 +8,13 @@ not vanish at the minimizer. Convergence is declared on first-order optimality
 ||J^T G||_inf <= tol_opt, on an exact residual root if one exists, or at the
 rounding floor (below).
 
+The dense Jacobian [J(v); C] exists only inside a linear step: `newton_step`
+builds it, LAPACK getrf overwrites it with its LU factors, and it is dropped
+when the step returns. Everything else the solvers need of J (J^T G for the
+optimality test and the dogleg's gradient, J p for predicted decreases) comes
+from the matrix-free products `jvp` and `vjp`, so no Jacobian is held between
+steps or built after the last one.
+
 Each Gauss-Newton step (and the Newton leg of the dogleg) is a rectangular-LU
 least-squares solve (Peters & Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with
 partial pivoting gives P J = [L1; L2] U, B = L2 L1^-1, and the remaining
@@ -15,8 +22,9 @@ partial pivoting gives P J = [L1; L2] U, B = L2 L1^-1, and the remaining
 (||B||_2 is a few units), so it is solved through its (m+1) x (m+1) normal
 equations. Back-substitution through L1 and U gives the step. When LU cannot
 give a reliable step (an exact zero pivot, or a trcon estimate of rcond(U)
-below eps * rows), the step is the minimum-norm solution by QR with column
-pivoting (LAPACK gelsy), and the report warns if J has lost rank.
+below eps * rows), J is built again and the step is the minimum-norm solution
+by QR with column pivoting (LAPACK gelsy), and the report warns if J has lost
+rank.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
@@ -35,7 +43,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lstsq
 from scipy.linalg import solve as dense_solve
 
-from .assembly import DiscreteSolution, DiscreteSystem, jacobian, reconstruct, residual
+from .assembly import (DiscreteSolution, DiscreteSystem, jacobian, jvp, reconstruct, residual,
+                       vjp)
 
 EPS = np.finfo(float).eps
 CONVERGED_REASONS = ("residual", "optimality", "floor")
@@ -84,13 +93,17 @@ class SolveReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def newton_step(J: np.ndarray, G: np.ndarray, warns: list[str], k: int) -> np.ndarray:
-    """min ||J p + G|| by rectangular LU (see the module docstring)."""
+def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[str],
+                k: int) -> np.ndarray:
+    """min ||J p + G|| for the Jacobian J at v by rectangular LU (see the module
+    docstring). J is built here and factored in place."""
+    J = jacobian(sys, v)
     M, N = J.shape
-    lu, piv, info = _getrf(J)
+    lu, piv, info = _getrf(J, overwrite_a=1)
     top = np.asfortranarray(lu[:N])  # unit L1 below the diagonal, U on and above
     if info > 0 or _trcon(top)[0] < EPS * M:
-        return _min_norm_step(J, G, warns, k)
+        del J, lu, top  # the factors overwrote J; the handler needs J itself
+        return _min_norm_step(jacobian(sys, v), G, warns, k)
     Bt, _ = _trtrs(top, lu[N:].T, lower=1, trans=1, unitdiag=1)
     c = _laswp(-G, piv)
     c1, c2 = c[:N], c[N:]
@@ -113,29 +126,39 @@ def _min_norm_step(J, G, warns, k):
 
 
 def _floor_scale(sys: DiscreteSystem) -> tuple[float, float]:
-    """(||Psi||_inf, ||F||_inf), the first by row blocks without an N x N
-    temporary."""
-    N = sys.ordering.size
-    psi_norm = max(float(np.abs(sys.Psi[i : i + 256]).sum(axis=1).max())
-                   for i in range(0, N, 256))
-    return psi_norm, float(np.max(np.abs(sys.F)))
+    """(||Psi||_inf, ||F||_inf), the first from the factors of
+    Psi = Q_x (x) rl_frac - D_x (x) I: row (i, j) holds Q_x[i,p] rl_frac[j,q],
+    less D_x[i,p] where q = j, so its absolute sum splits into the q != j part,
+    sum_p |Q_x[i,p]| * sum_{q != j} |rl_frac[j,q]|, and the q = j part."""
+    rl_diag = np.diag(sys.rl_frac)
+    off_diag = np.abs(sys.rl_frac - np.diag(rl_diag)).sum(axis=1)  # [j]
+    on_diag = np.abs(sys.Q_x[:, None, :] * rl_diag[None, :, None]
+                     - sys.D_x[:, None, :]).sum(axis=2)  # [i, j]
+    rows = np.abs(sys.Q_x).sum(axis=1)[:, None] * off_diag[None, :] + on_diag
+    return float(rows.max()), float(np.max(np.abs(sys.F)))
 
 
-def _at_floor(v, G, J, step, scale):
+def _at_floor(sys, v, G, step, scale):
     """Whether the full step's predicted decrease is within the merit's
     rounding level."""
     psi_norm, f_norm = scale
-    Jp = J @ step
+    Jp = jvp(sys, v, step)
     level = (np.linalg.norm(G) * np.sqrt(G.size) * EPS
              * (psi_norm * np.max(np.abs(v)) + f_norm))
     return 0.5 * float(Jp @ Jp) <= level
 
 
-def _converged(G, J, cfg):
-    """The name of the convergence test G and J pass, or None."""
+def _optimality(sys, v, G):
+    """||J^T G||_inf."""
+    return float(np.max(np.abs(vjp(sys, v, G))))
+
+
+def _converged(sys, v, G, cfg):
+    """The name of the convergence test the iterate v with residual G passes,
+    or None."""
     if np.max(np.abs(G)) <= cfg.tol_residual:
         return "residual"
-    if np.max(np.abs(J.T @ G)) <= cfg.tol_opt:
+    if _optimality(sys, v, G) <= cfg.tol_opt:
         return "optimality"
     return None
 
@@ -146,8 +169,8 @@ def _merit(G):
     return 0.5 * float(G @ G)
 
 
-def _make_report(sys, v, G, J, iters, reason, t0, warns):
-    """Report on the iterate v, whose residual G and Jacobian J the loop has."""
+def _make_report(sys, v, G, iters, reason, t0, warns):
+    """Report on the iterate v, whose residual G the loop has."""
     sol = DiscreteSolution(
         v=np.array(v),
         u=reconstruct(sys, v),
@@ -157,7 +180,7 @@ def _make_report(sys, v, G, J, iters, reason, t0, warns):
     return SolveReport(
         solution=sol,
         iterations=iters,
-        final_residual=float(min(np.max(np.abs(G)), np.max(np.abs(J.T @ G)))),
+        final_residual=min(float(np.max(np.abs(G))), _optimality(sys, v, G)),
         converged=reason in CONVERGED_REASONS,
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
@@ -165,14 +188,14 @@ def _make_report(sys, v, G, J, iters, reason, t0, warns):
     )
 
 
-def _floor_report(sys, v, G, J, step, k, t0, warns):
+def _floor_report(sys, v, G, step, k, t0, warns):
     """Stop at the rounding floor, after taking the full step unless it raises
     the merit."""
     v_new = v + step
     G_new = residual(sys, v_new)
     if _merit(G_new) <= _merit(G):
-        v, G, J, k = v_new, G_new, jacobian(sys, v_new), k + 1
-    return _make_report(sys, v, G, J, k, "floor", t0, warns)
+        v, G, k = v_new, G_new, k + 1
+    return _make_report(sys, v, G, k, "floor", t0, warns)
 
 
 def newton_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> SolveReport:
@@ -183,14 +206,13 @@ def newton_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> Solv
     v = np.array(v0, dtype=float)
     warns: list[str] = []
     G = residual(sys, v)
-    J = jacobian(sys, v)
     for k in range(cfg.max_iters):
-        reason = _converged(G, J, cfg)
+        reason = _converged(sys, v, G, cfg)
         if reason:
-            return _make_report(sys, v, G, J, k, reason, t0, warns)
-        step = newton_step(J, G, warns, k)
-        if _at_floor(v, G, J, step, scale):
-            return _floor_report(sys, v, G, J, step, k, t0, warns)
+            return _make_report(sys, v, G, k, reason, t0, warns)
+        step = newton_step(sys, v, G, warns, k)
+        if _at_floor(sys, v, G, step, scale):
+            return _floor_report(sys, v, G, step, k, t0, warns)
         merit = _merit(G)
         damp = 1.0
         for _ in range(30):
@@ -200,14 +222,13 @@ def newton_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> Solv
                 break
             damp *= 0.5
         else:
-            return _make_report(sys, v, G, J, k, "stagnation", t0, warns)
+            return _make_report(sys, v, G, k, "stagnation", t0, warns)
         v, G = v_new, G_new
-        J = jacobian(sys, v)
         if damp * np.max(np.abs(step)) <= cfg.tol_step:
-            reason = _converged(G, J, cfg) or "step"
-            return _make_report(sys, v, G, J, k + 1, reason, t0, warns)
-    reason = _converged(G, J, cfg) or "max_iters"
-    return _make_report(sys, v, G, J, cfg.max_iters, reason, t0, warns)
+            reason = _converged(sys, v, G, cfg) or "step"
+            return _make_report(sys, v, G, k + 1, reason, t0, warns)
+    reason = _converged(sys, v, G, cfg) or "max_iters"
+    return _make_report(sys, v, G, cfg.max_iters, reason, t0, warns)
 
 
 def _dogleg_step(step_newton, g, Jg, radius):
@@ -237,25 +258,24 @@ def trust_region_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -
     warns: list[str] = []
     radius = cfg.initial_trust_radius
     G = residual(sys, v)
-    J = jacobian(sys, v)
     k = 0
-    reason = _converged(G, J, cfg)
+    reason = _converged(sys, v, G, cfg)
     while reason is None:
         if k >= cfg.max_iters:
             reason = "max_iters"
             break
-        step_newton = newton_step(J, G, warns, k)
+        step_newton = newton_step(sys, v, G, warns, k)
         if not np.all(np.isfinite(step_newton)):
             step_newton = None
-        if step_newton is not None and _at_floor(v, G, J, step_newton, scale):
-            return _floor_report(sys, v, G, J, step_newton, k, t0, warns)
-        g = J.T @ G
-        Jg = J @ g
+        if step_newton is not None and _at_floor(sys, v, G, step_newton, scale):
+            return _floor_report(sys, v, G, step_newton, k, t0, warns)
+        g = vjp(sys, v, G)
+        Jg = jvp(sys, v, g)
         merit = _merit(G)
         accepted = False
         while radius >= cfg.min_trust_radius:
             p, hit_boundary = _dogleg_step(step_newton, g, Jg, radius)
-            predicted = merit - 0.5 * float(np.sum((G + J @ p) ** 2))
+            predicted = merit - 0.5 * float(np.sum((G + jvp(sys, v, p)) ** 2))
             v_new = v + p
             G_new = residual(sys, v_new)
             merit_new = _merit(G_new)
@@ -272,12 +292,11 @@ def trust_region_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -
             warns.append(f"iteration {k}: trust radius underflow below {cfg.min_trust_radius}")
             reason = "radius_underflow"
             break
-        J = jacobian(sys, v)
         k += 1
-        reason = _converged(G, J, cfg)
+        reason = _converged(sys, v, G, cfg)
         if reason is None and step_inf <= cfg.tol_step:
             reason = "step"
-    return _make_report(sys, v, G, J, k, reason, t0, warns)
+    return _make_report(sys, v, G, k, reason, t0, warns)
 
 
 def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) -> SolveReport:

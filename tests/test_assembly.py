@@ -12,12 +12,14 @@ from fbbmb.assembly import (
     compute_aae,
     evaluate_on_mesh,
     jacobian,
+    jvp,
     reconstruct,
     residual,
+    vjp,
 )
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.opmatrices import build_operator_bundle
-from fbbmb.problems import example1, example2, manufactured_poly
+from fbbmb.problems import REGISTRY, example1, example2, manufactured_poly
 
 
 def make_system(spec, n, m, **bundle_kwargs):
@@ -28,9 +30,32 @@ def make_system(spec, n, m, **bundle_kwargs):
 
 
 def without_nonlinear_term(sys):
-    # for phi = 0 (example1, example2) phi' = 0, so zeroing K_tn makes
-    # Y(v) = K_tn v + phi' vanish and with it the nonlinear term Y .* W
-    return dataclasses.replace(sys, K_tn=np.zeros_like(sys.K_tn))
+    # for phi = 0 (example1, example2) phi' = 0, so zeroing Q_t makes
+    # Y(v) = K_tn v + phi' vanish and with it the nonlinear term Y .* W; C is
+    # stored dense, so the constraint rows keep their Q_t
+    return dataclasses.replace(sys, Q_t=np.zeros_like(sys.Q_t))
+
+
+def psi_matrix(sys):
+    # the factored linear operator applied to the identity columns: with the
+    # nonlinear term gone, the top N rows of J(v) p are Psi p
+    lin = without_nonlinear_term(sys)
+    N = sys.ordering.size
+    return np.column_stack([jvp(lin, np.zeros(N), e)[:N] for e in np.eye(N)])
+
+
+def dense_reference(sys, v):
+    """Residual, Jacobian and nodal u of the system with every operator formed
+    as a dense Kronecker product, for v in the space-major ordering."""
+    n1, m1 = sys.ordering.n + 1, sys.ordering.m + 1
+    Psi = np.kron(sys.Q_x, sys.rl_frac) - np.kron(sys.D_x, np.eye(m1))
+    K_tn = np.kron(np.eye(n1), sys.Q_t)
+    Q_tx = np.kron(sys.Q_x, sys.Q_t)
+    Y = K_tn @ v + sys.phi_prime
+    W = 1.0 + sys.S + Q_tx @ v
+    G = np.concatenate([Psi @ v - sys.F + Y * W, sys.C @ v - sys.Rhat])
+    J = np.vstack([Psi + W[:, None] * K_tn + Y[:, None] * Q_tx, sys.C])
+    return G, J, sys.S + Q_tx @ v
 
 
 class TestGridOrdering:
@@ -106,7 +131,7 @@ class TestAssemble:
                         expected[i * 2 + j, p * 2 + q] = Qx[i, p] * B[j, q] - Dx[i, p] * (
                             1.0 if j == q else 0.0
                         )
-        np.testing.assert_allclose(sys.Psi, expected, atol=1e-14)
+        np.testing.assert_allclose(psi_matrix(sys), expected, atol=1e-14)
 
     def test_classical_limit_psi(self):
         # alpha = 1 reduces the fractional factor to the identity
@@ -116,7 +141,14 @@ class TestAssemble:
         ops = build_operator_bundle(ns_x, ns_t, 1.0)
         sys = assemble(spec, ops, GridOrdering(4, 4))
         expected = np.kron(ops.Q_x - ops.D_x, np.eye(5))
-        np.testing.assert_allclose(sys.Psi, expected, atol=1e-13)
+        np.testing.assert_allclose(psi_matrix(sys), expected, atol=1e-13)
+
+    def test_no_field_holds_n_squared_entries(self):
+        # operators stay as 1-D factors; C, (m+1) x N, is the largest array
+        sys = make_system(example2(0.5), 12, 10)
+        N = sys.ordering.size
+        arrays = [getattr(sys, f.name) for f in dataclasses.fields(sys)]
+        assert max(a.size for a in arrays if isinstance(a, np.ndarray)) < N * N
 
     def test_shape_mismatch_rejected(self):
         spec = example1(0.5)
@@ -191,11 +223,12 @@ class TestJacobian:
         N = sys.ordering.size
         J = jacobian(sys, np.zeros(N))
         assert J.shape == (N + m + 1, N)
+        assert J.flags.f_contiguous  # so LAPACK factors it in place
         np.testing.assert_array_equal(J[N:], sys.C)
 
-    def test_peak_memory_at_most_one_temporary(self):
-        # the Jacobian is written into one (N+m+1) x N array with at most one
-        # N x N temporary: no (N+m+1)^2 block and no copy of Psi
+    def test_peak_memory_no_n_squared_temporary(self):
+        # the Jacobian is written from the factors into one (N+m+1) x N array;
+        # the temporaries are O(N (n+m))
         sys = make_system(example2(0.5), 16, 16)
         v = np.zeros(sys.ordering.size)
         tracemalloc.start()
@@ -204,7 +237,44 @@ class TestJacobian:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * J.nbytes
+        assert peak <= 1.5 * J.nbytes
+
+
+GRIDS = [(3, 7), (9, 4)]
+
+
+class TestFactoredOperators:
+    # non-square grids, so that an n/m mix-up in a reshape cannot pass
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @pytest.mark.parametrize("n, m", GRIDS)
+    def test_match_dense_kronecker_products(self, name, n, m):
+        sys = make_system(REGISTRY[name](0.5), n, m)
+        N = sys.ordering.size
+        rng = np.random.default_rng(n * 10 + m)
+        v, p = rng.standard_normal(N), rng.standard_normal(N)
+        q = rng.standard_normal(N + m + 1)
+        G, J, u = dense_reference(sys, v)
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        assert rel(residual(sys, v), G) <= 1e-12
+        assert rel(jacobian(sys, v), J) <= 1e-12
+        assert rel(reconstruct(sys, v), u) <= 1e-12
+        assert rel(jvp(sys, v, p), J @ p) <= 1e-12
+        assert rel(vjp(sys, v, q), J.T @ q) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @pytest.mark.parametrize("n, m", GRIDS)
+    def test_adjoint_identity(self, name, n, m):
+        sys = make_system(REGISTRY[name](0.5), n, m)
+        N = sys.ordering.size
+        rng = np.random.default_rng(n + 10 * m)
+        v, p = rng.standard_normal(N), rng.standard_normal(N)
+        q = rng.standard_normal(N + m + 1)
+        Jp, JTq = jvp(sys, v, p), vjp(sys, v, q)
+        lhs, rhs = float(Jp @ q), float(p @ JTq)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Jp) * np.linalg.norm(q)
 
 
 class TestReconstruct:

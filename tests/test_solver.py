@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,20 +55,23 @@ class TestLeastSquaresStep:
     def test_matches_svd_least_squares(self):
         sys8 = make_system(example2(0.5), 8, 8)
         v = np.zeros(sys8.ordering.size)
-        J, G = jacobian(sys8, v), residual(sys8, v)
+        G = residual(sys8, v)
         warns = []
-        step = newton_step(J, G, warns, 0)
-        oracle, *_ = np.linalg.lstsq(J, -G, rcond=None)
+        step = newton_step(sys8, v, G, warns, 0)
+        oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
         assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
         assert warns == []
 
-    def test_rank_deficient_gives_minimum_norm_step_and_warns(self, sys_ex1):
+    def test_rank_deficient_gives_minimum_norm_step_and_warns(self, sys_ex1, monkeypatch):
         N = sys_ex1.ordering.size
         rng = np.random.default_rng(5)
         A = rng.standard_normal((N + 5, 20)) @ rng.standard_normal((20, N))
         b = rng.standard_normal(N + 5)
+        # a fresh Fortran-ordered copy per call, as jacobian returns, so the
+        # LU overwrites it and the handler must build its own
+        monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(A, order="F"))
         warns = []
-        step = newton_step(A, -b, warns, 3)
+        step = newton_step(sys_ex1, np.zeros(N), -b, warns, 3)
         np.testing.assert_allclose(step, np.linalg.pinv(A) @ b, rtol=1e-10, atol=1e-12)
         assert warns == [f"iteration 3: Jacobian rank 20 < {N}"]
 
@@ -82,10 +86,34 @@ class TestRectangularLuStep:
         monkeypatch.setattr(fbbmb.solver, "lstsq", no_fallback)
         sys_n = make_system(factory(0.5), n, n)
         v = np.zeros(sys_n.ordering.size)
-        J, G = jacobian(sys_n, v), residual(sys_n, v)
-        step = newton_step(J, G, [], 0)
-        oracle, *_ = np.linalg.lstsq(J, -G, rcond=None)
+        G = residual(sys_n, v)
+        step = newton_step(sys_n, v, G, [], 0)
+        oracle, *_ = np.linalg.lstsq(jacobian(sys_n, v), -G, rcond=None)
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_fallback_factors_a_fresh_jacobian(self, monkeypatch):
+        # the LU overwrites the Jacobian it factors, so when the condition
+        # test rejects the LU the handler must get a newly built one
+        sys8 = make_system(example2(0.5), 8, 8)
+        monkeypatch.setattr(fbbmb.solver, "_trcon", lambda *args, **kwargs: (0.0, 0))
+        v = 0.1 * np.ones(sys8.ordering.size)
+        G = residual(sys8, v)
+        warns = []
+        step = newton_step(sys8, v, G, warns, 0)
+        oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
+        assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert warns == []
+
+
+class TestFloorScale:
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("n, m", [(3, 7), (9, 4)])
+    def test_psi_norm_matches_dense_operator(self, alpha, n, m):
+        sys_nm = make_system(example2(alpha), n, m)
+        Psi = np.kron(sys_nm.Q_x, sys_nm.rl_frac) - np.kron(sys_nm.D_x, np.eye(m + 1))
+        psi_norm, f_norm = fbbmb.solver._floor_scale(sys_nm)
+        assert psi_norm == pytest.approx(np.abs(Psi).sum(axis=1).max(), rel=1e-14)
+        assert f_norm == np.max(np.abs(sys_nm.F))
 
 
 class TestStopReasons:
@@ -107,8 +135,8 @@ class TestStopReasons:
         assert np.mean(np.abs(rep.solution.u - exact.reshape(-1))) <= 1e-14
 
     def test_exhausted_line_search_rejects_trial_point(self, sys_ex2, monkeypatch):
-        def uphill(J, G, warns, k):
-            return -newton_step(J, G, warns, k)
+        def uphill(sys, v, G, warns, k):
+            return -newton_step(sys, v, G, warns, k)
 
         monkeypatch.setattr(fbbmb.solver, "newton_step", uphill)
         v0 = np.zeros(sys_ex2.ordering.size)
@@ -135,28 +163,54 @@ class TestStopReasons:
 
 
 class TestEvaluationCounts:
-    # the report reuses the residual and Jacobian the loop already holds
+    # the Jacobian is built only for the linear step; convergence tests, the
+    # dogleg and the report use matrix-free products
     @pytest.mark.parametrize("method", ["newton", "trust_region"])
-    def test_one_jacobian_per_iteration_plus_initial(self, sys_ex2, monkeypatch, method):
-        calls = []
+    def test_one_jacobian_per_newton_step(self, sys_ex2, monkeypatch, method):
+        jac_calls, step_calls = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return jacobian(*args, **kwargs)
+        def counted_jacobian(*args):
+            jac_calls.append(1)
+            return jacobian(*args)
 
-        monkeypatch.setattr(fbbmb.solver, "jacobian", counted)
+        def counted_step(*args):
+            step_calls.append(1)
+            return newton_step(*args)
+
+        monkeypatch.setattr(fbbmb.solver, "jacobian", counted_jacobian)
+        monkeypatch.setattr(fbbmb.solver, "newton_step", counted_step)
         rep = solve(sys_ex2, SolverConfig(method=method))
         assert rep.converged
-        assert len(calls) == rep.iterations + 1
+        assert len(step_calls) >= 1
+        assert len(jac_calls) == len(step_calls)
+
+
+class TestMemory:
+    def test_assemble_and_newton_solve_peak_below_two_and_a_half_n_squared(self):
+        # the system holds no N x N array, and the LU buffer, (N+m+1) x N, and
+        # the copy of its N x N top block are the only O(N^2) arrays a solve
+        # holds at once
+        spec = example2(0.5)
+        ns = build_node_set(BasisParams(0.5, 20))
+        ops = build_operator_bundle(ns, ns, spec.alpha)
+        N = 21 * 21
+        tracemalloc.start()
+        try:
+            rep = solve(assemble(spec, ops, GridOrdering(20, 20)), SolverConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= 2.5 * 8 * N * N
 
 
 class TestAffinePath:
-    # example1 has phi' = 0, so with K_tn zeroed Y(v) = 0, the nonlinear term
+    # example1 has phi' = 0, so with Q_t zeroed Y(v) = 0, the nonlinear term
     # drops out and the residual is affine: Gauss-Newton lands on the
     # least-squares minimiser in one step
     @pytest.fixture
     def sys_affine(self, sys_ex1):
-        return dataclasses.replace(sys_ex1, K_tn=np.zeros_like(sys_ex1.K_tn))
+        return dataclasses.replace(sys_ex1, Q_t=np.zeros_like(sys_ex1.Q_t))
 
     def test_newton_one_iteration(self, sys_affine):
         cfg = SolverConfig()
