@@ -60,9 +60,6 @@ class GridOrdering:
     def size(self) -> int:
         return (self.n + 1) * (self.m + 1)
 
-    def index(self, i: int, j: int) -> int:
-        return i * (self.m + 1) + j
-
 
 @dataclass(frozen=True)
 class DiscreteSystem:

@@ -8,7 +8,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,8 +24,8 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_CONFIG = 3
 
 CSV_COLUMNS = [
-    "problem", "alpha", "n", "m", "n1", "n2", "lambda", "lambda1", "lambda2",
-    "aae", "max_err", "et_seconds", "precompute_seconds", "iterations", "converged",
+    "problem", "alpha", "n", "m", "lambda", "aae", "max_err", "et_seconds",
+    "precompute_seconds", "iterations", "converged",
 ]
 
 
@@ -35,11 +35,7 @@ class RunConfig:
     alpha: float = 0.5
     n: int = 7
     m: int = 7
-    n1: int = 14
-    n2: int = 14
     lam: float = 0.5
-    lam1: float = 0.5  # lam1, lam2: validated and recorded, alter no matrix
-    lam2: float = 0.5
     solver: SolverConfig = field(default_factory=SolverConfig)
     error_mesh: str = "collocation"  # "collocation" | "uniform101" | "slice=<t>"
     output: str = "table"  # "table" | "csv" | "json"
@@ -48,8 +44,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
-        for name, val in (("lambda", self.lam), ("lambda1", self.lam1), ("lambda2", self.lam2)):
-            BasisParams(val, 1)  # window validation only
+        BasisParams(self.lam, 1)  # window validation only
         if self.error_mesh not in ("collocation", "uniform101") and not self.error_mesh.startswith("slice="):
             raise ValueError(f"unknown error mesh {self.error_mesh!r}")
         if self.error_mesh.startswith("slice="):
@@ -69,14 +64,13 @@ class RunResult:
     precompute_seconds: float
     iterations: int
     converged: bool
-    grid: Optional[list] = None  # (x, t, u_numeric, u_exact, abs_err) rows
+    grid: Optional[np.ndarray] = None  # (x, t, u_numeric, u_exact, abs_err) rows
 
     def row(self) -> dict:
         c = self.config
         return {
             "problem": c.problem, "alpha": c.alpha, "n": c.n, "m": c.m,
-            "n1": c.n1, "n2": c.n2, "lambda": c.lam, "lambda1": c.lam1,
-            "lambda2": c.lam2, "aae": self.aae, "max_err": self.max_err,
+            "lambda": c.lam, "aae": self.aae, "max_err": self.max_err,
             "et_seconds": self.et_seconds, "precompute_seconds": self.precompute_seconds,
             "iterations": self.iterations, "converged": self.converged,
         }
@@ -88,7 +82,7 @@ def run(cfg: RunConfig) -> RunResult:
     t_pre = time.perf_counter()
     ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
     ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
-    ops = build_operator_bundle(ns_x, ns_t, cfg.alpha, cfg.n1, cfg.n2)
+    ops = build_operator_bundle(ns_x, ns_t, cfg.alpha)
     sys_d = assemble(spec, ops, GridOrdering(cfg.n, cfg.m))
     precompute_seconds = time.perf_counter() - t_pre
 
@@ -116,7 +110,7 @@ def run(cfg: RunConfig) -> RunResult:
         X, T = np.meshgrid(xs, ts, indexing="ij")
         grid = np.column_stack(
             [X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()]
-        ).tolist()
+        )
     return RunResult(cfg, aae, max_err, report.wall_time, precompute_seconds,
                      report.iterations, report.converged, grid)
 
@@ -130,13 +124,7 @@ def sweep(template: RunConfig, alphas: list[float], sizes: list[int]) -> list[Ru
     results: list[RunResult | Exception] = []
     for a in alphas:
         for s in sizes:
-            cfg = RunConfig(
-                problem=template.problem, alpha=a, n=s, m=s,
-                n1=template.n1, n2=template.n2, lam=template.lam,
-                lam1=template.lam1, lam2=template.lam2, solver=template.solver,
-                error_mesh=template.error_mesh, output=template.output,
-                output_path=template.output_path,
-            )
+            cfg = replace(template, alpha=a, n=s, m=s)
             try:
                 results.append(run(cfg))
             except Exception as exc:  # recorded per row, sweep continues
@@ -170,7 +158,7 @@ def format_json(results: list[RunResult]) -> str:
     for r in results:
         doc = r.row()
         if r.grid is not None:
-            doc["grid"] = r.grid
+            doc["grid"] = r.grid.tolist()
         docs.append(doc)
     return json.dumps(docs, indent=2)
 
@@ -182,9 +170,7 @@ def parse_run_result_csv(text: str) -> list[dict]:
         rows.append({
             "problem": raw["problem"],
             "alpha": float(raw["alpha"]), "n": int(raw["n"]), "m": int(raw["m"]),
-            "n1": int(raw["n1"]), "n2": int(raw["n2"]),
-            "lambda": float(raw["lambda"]), "lambda1": float(raw["lambda1"]),
-            "lambda2": float(raw["lambda2"]),
+            "lambda": float(raw["lambda"]),
             "aae": float(raw["aae"]), "max_err": float(raw["max_err"]),
             "et_seconds": float(raw["et_seconds"]),
             "precompute_seconds": float(raw["precompute_seconds"]),
@@ -203,11 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--m", type=int, default=7)
-    p.add_argument("--n1", type=int, default=14)
-    p.add_argument("--n2", type=int, default=14)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--lambda1", dest="lam1", type=float, default=0.5)
-    p.add_argument("--lambda2", dest="lam2", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--solver", choices=["newton", "trust-region"], default="newton")
@@ -234,8 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         cfg = RunConfig(
             problem=args.problem, alpha=args.alpha, n=args.n, m=args.m,
-            n1=args.n1, n2=args.n2, lam=args.lam, lam1=args.lam1, lam2=args.lam2,
-            solver=solver_cfg, error_mesh=args.error_mesh, output=args.fmt,
+            lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh, output=args.fmt,
             output_path=args.out,
         )
         if args.sweep_alpha or args.sweep_size:

@@ -3,8 +3,6 @@ and the Riemann-Liouville / Caputo fractional matrices."""
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from math import ceil, gamma
 
@@ -58,25 +56,23 @@ def build_sgirv(ns: NodeSet) -> np.ndarray:
     return (yw @ cardinal_matrix(ns, y)).reshape(1, -1)
 
 
-def build_rl_fsgim(ns_t: NodeSet, beta: float, n2: int) -> np.ndarray:
+def build_rl_fsgim(ns_t: NodeSet, beta: float) -> np.ndarray:
     """Riemann-Liouville fractional integration matrix of order beta in (0, 1].
 
     Row j applies (I^beta g)(t_j) to nodal data via the scaling tau = t_j * s,
         (t_j^beta / Gamma(beta)) * int_0^1 (1-s)^(beta-1) g(t_j s) ds,
-    integrated with an (n2+1)-point Gauss-Jacobi rule with weight (1-s)^(beta-1)
-    that absorbs the endpoint singularity. The remaining integrand is the
-    degree-m cardinal polynomial, so the rule is exact whenever 2*n2 + 1 >= m.
-    The rule takes no Gegenbauer index: any s^(lam-1/2) reweighting would need
-    a non-polynomial compensation factor and lose that exactness.
+    integrated with a Gauss-Jacobi rule with weight (1-s)^(beta-1) that absorbs
+    the endpoint singularity. The remaining integrand is the degree-m cardinal
+    polynomial, so (m+2)//2 points make the rule exact. The rule takes no
+    Gegenbauer index: any s^(lam-1/2) reweighting would need a non-polynomial
+    compensation factor and lose that exactness.
     """
     if not 0.0 < beta <= 1.0:
         raise ParameterDomainError(f"fractional order beta={beta} outside (0, 1]")
-    if n2 < 0:
-        raise ParameterDomainError(f"quadrature degree n2={n2} must be nonnegative")
-    s, sw = roots_jacobi(n2 + 1, beta - 1.0, 0.0)
+    m = ns_t.n
+    s, sw = roots_jacobi((m + 2) // 2, beta - 1.0, 0.0)
     s = (s + 1.0) / 2.0
     sw = sw * 2.0 ** (-beta)
-    m = ns_t.n
     B = np.empty((m + 1, m + 1))
     for j, tj in enumerate(ns_t.nodes):
         L = cardinal_matrix(ns_t, tj * s)
@@ -84,7 +80,7 @@ def build_rl_fsgim(ns_t: NodeSet, beta: float, n2: int) -> np.ndarray:
     return B
 
 
-def build_c_fsgim(ns_t: NodeSet, alpha: float, n1: int) -> np.ndarray:
+def build_c_fsgim(ns_t: NodeSet, alpha: float) -> np.ndarray:
     """Caputo fractional differentiation matrix of order alpha in (0, 1], realized
     as the order-(1-alpha) RL integration of the first derivative; alpha = 1
     returns the plain differentiation matrix."""
@@ -93,12 +89,12 @@ def build_c_fsgim(ns_t: NodeSet, alpha: float, n1: int) -> np.ndarray:
     D = build_sgdm(ns_t)
     if alpha == 1.0:
         return D
-    return build_rl_fsgim(ns_t, 1.0 - alpha, n1) @ D
+    return build_rl_fsgim(ns_t, 1.0 - alpha) @ D
 
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """All precomputed matrices for one (node sets, alpha, n1, n2) configuration."""
+    """All precomputed matrices for one (node sets, alpha) configuration."""
 
     ns_x: NodeSet
     ns_t: NodeSet
@@ -111,19 +107,17 @@ class OperatorBundle:
     caputo: np.ndarray  # order alpha
 
 
-def build_operator_bundle(
-    ns_x: NodeSet,
-    ns_t: NodeSet,
-    alpha: float,
-    n1: int = 14,
-    n2: int = 14,
-) -> OperatorBundle:
+def build_operator_bundle(ns_x: NodeSet, ns_t: NodeSet, alpha: float) -> OperatorBundle:
+    """The operator matrices, with the order-(1-alpha) RL matrix built once and
+    the Caputo matrix taken from it as `build_c_fsgim` forms it."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"fractional order alpha={alpha} outside (0, 1]")
+    D_t = build_sgdm(ns_t)
     if alpha == 1.0:
-        rl = np.eye(ns_t.n + 1)
+        rl, caputo = np.eye(ns_t.n + 1), D_t
     else:
-        rl = build_rl_fsgim(ns_t, 1.0 - alpha, n2)
+        rl = build_rl_fsgim(ns_t, 1.0 - alpha)
+        caputo = rl @ D_t
     return OperatorBundle(
         ns_x=ns_x,
         ns_t=ns_t,
@@ -133,40 +127,5 @@ def build_operator_bundle(
         P_x=build_sgirv(ns_x),
         Q_t=build_sgim(ns_t),
         rl_frac=rl,
-        caputo=build_c_fsgim(ns_t, alpha, n1),
+        caputo=caputo,
     )
-
-
-_BIN_MAGIC = b"FBMX"
-
-
-def save_matrix(M: np.ndarray, path) -> None:
-    """Dump a matrix for debugging. '.json' suffix writes {rows, cols, data};
-    anything else writes the binary layout documented in the README: 4-byte
-    magic 'FBMX', two little-endian uint64 (rows, cols), then row-major
-    little-endian float64 entries."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path, "w") as fh:
-            json.dump({"rows": M.shape[0], "cols": M.shape[1], "data": M.tolist()}, fh)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(_BIN_MAGIC)
-            fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-            fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            doc = json.load(fh)
-        return np.asarray(doc["data"], dtype=float).reshape(doc["rows"], doc["cols"])
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
-            raise ValueError(f"{path} is not a matrix dump (bad magic {magic!r})")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    return data.reshape(rows, cols).astype(float)

@@ -4,16 +4,16 @@ Both minimize 0.5 ||G(v)||^2 over the transform field v, for the stacked
 residual G(v) = [R(v); C v - Rhat]: the collocation rows and the boundary
 integral constraint, coupled by least squares. On the benchmark problems the
 collocation and constraint rows carry a small mutual inconsistency, so G need
-not vanish at the minimizer. Convergence is declared on first-order optimality
-||J^T G||_inf <= tol_opt, on an exact residual root if one exists, or at the
-rounding floor (below).
+not vanish at the minimizer. Convergence is declared on a residual root,
+||G||_inf <= tol_residual, or at the rounding floor (below), which is where a
+least-squares minimizer with G != 0 stops.
 
 The dense Jacobian [J(v); C] exists only inside a linear step: `newton_step`
 builds it, LAPACK getrf overwrites it with its LU factors, and it is dropped
 when the step returns. Everything else the solvers need of J (J^T G for the
-optimality test and the dogleg's gradient, J p for predicted decreases) comes
-from the matrix-free products `jvp` and `vjp`, so no Jacobian is held between
-steps or built after the last one.
+dogleg's gradient, J p for predicted decreases) comes from the matrix-free
+products `jvp` and `vjp`, so no Jacobian is held between steps or built after
+the last one.
 
 Each Gauss-Newton step (and the Newton leg of the dogleg) is a rectangular-LU
 least-squares solve (Peters & Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with
@@ -31,7 +31,13 @@ larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the computed
 residual, Higham ch. 3), no further iteration can be told from roundoff.
 Newton and the dogleg then take the full step unless it raises the merit, and
-stop converged with stop_reason "floor".
+stop converged with stop_reason "floor". The floor scales with ||Psi|| and ||v||;
+an absolute bound on ||J^T G|| would not, since ||J|| grows like n^2.
+
+The dogleg's first trust radius is the length of the first Gauss-Newton step,
+or of the Cauchy step when that step is not finite (More, "The
+Levenberg-Marquardt algorithm", 1978), so a full Gauss-Newton step is tried
+first and the dogleg takes Newton's iterations where those steps succeed.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .assembly import (DiscreteSolution, DiscreteSystem, jacobian, jvp, reconstr
                        vjp)
 
 EPS = np.finfo(float).eps
-CONVERGED_REASONS = ("residual", "optimality", "floor")
+CONVERGED_REASONS = ("residual", "floor")
 
 _getrf, _trtrs, _trcon, _laswp = get_lapack_funcs(("getrf", "trtrs", "trcon", "laswp"), dtype=float)
 
@@ -56,16 +62,13 @@ _getrf, _trtrs, _trcon, _laswp = get_lapack_funcs(("getrf", "trtrs", "trcon", "l
 class SolverConfig:
     tol_residual: float = 1e-12
     tol_step: float = 1e-14
-    tol_opt: float = 1e-9  # first-order optimality ||J^T G||_inf
     max_iters: int = 100
-    initial_trust_radius: float = 1.0
     min_trust_radius: float = 1e-12
     eta_accept: float = 0.1
     method: str = "newton"  # "newton" | "trust_region"
 
     def __post_init__(self):
-        if min(self.tol_residual, self.tol_step, self.tol_opt,
-               self.initial_trust_radius, self.min_trust_radius) <= 0:
+        if min(self.tol_residual, self.tol_step, self.min_trust_radius) <= 0:
             raise ValueError("tolerances and radii must be positive")
         if not 0.0 < self.eta_accept < 1.0:
             raise ValueError(f"eta_accept={self.eta_accept} outside (0, 1)")
@@ -75,14 +78,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """`final_residual` is the converged stopping measure, min(||G||_inf,
-    ||J^T G||_inf).
+    """`final_residual` is ||G||_inf at the returned iterate, the measure the
+    "residual" stop tests.
 
     `stop_reason` names the test that ended the iteration. Converged: "residual"
-    (||G||_inf <= tol_residual), "optimality" (||J^T G||_inf <= tol_opt), "floor"
-    (the step's predicted decrease is below the merit's rounding level). Not
-    converged: "step" (step below tol_step), "stagnation" (30 halvings found no
-    decrease), "max_iters", "radius_underflow" (trust radius below its minimum)."""
+    (||G||_inf <= tol_residual), "floor" (the step's predicted decrease is below
+    the merit's rounding level). Not converged: "step" (step below tol_step),
+    "stagnation" (30 halvings found no decrease), "max_iters",
+    "radius_underflow" (trust radius below its minimum)."""
 
     solution: DiscreteSolution
     iterations: int
@@ -148,19 +151,9 @@ def _at_floor(sys, v, G, step, scale):
     return 0.5 * float(Jp @ Jp) <= level
 
 
-def _optimality(sys, v, G):
-    """||J^T G||_inf."""
-    return float(np.max(np.abs(vjp(sys, v, G))))
-
-
-def _converged(sys, v, G, cfg):
-    """The name of the convergence test the iterate v with residual G passes,
-    or None."""
-    if np.max(np.abs(G)) <= cfg.tol_residual:
-        return "residual"
-    if _optimality(sys, v, G) <= cfg.tol_opt:
-        return "optimality"
-    return None
+def _converged(G, cfg):
+    """The stop reason "residual" if ||G||_inf <= tol_residual, else None."""
+    return "residual" if np.max(np.abs(G)) <= cfg.tol_residual else None
 
 
 def _merit(G):
@@ -180,7 +173,7 @@ def _make_report(sys, v, G, iters, reason, t0, warns):
     return SolveReport(
         solution=sol,
         iterations=iters,
-        final_residual=min(float(np.max(np.abs(G))), _optimality(sys, v, G)),
+        final_residual=float(np.max(np.abs(G))),
         converged=reason in CONVERGED_REASONS,
         wall_time=time.perf_counter() - t0,
         stop_reason=reason,
@@ -207,7 +200,7 @@ def newton_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> Solv
     warns: list[str] = []
     G = residual(sys, v)
     for k in range(cfg.max_iters):
-        reason = _converged(sys, v, G, cfg)
+        reason = _converged(G, cfg)
         if reason:
             return _make_report(sys, v, G, k, reason, t0, warns)
         step = newton_step(sys, v, G, warns, k)
@@ -225,9 +218,9 @@ def newton_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> Solv
             return _make_report(sys, v, G, k, "stagnation", t0, warns)
         v, G = v_new, G_new
         if damp * np.max(np.abs(step)) <= cfg.tol_step:
-            reason = _converged(sys, v, G, cfg) or "step"
+            reason = _converged(G, cfg) or "step"
             return _make_report(sys, v, G, k + 1, reason, t0, warns)
-    reason = _converged(sys, v, G, cfg) or "max_iters"
+    reason = _converged(G, cfg) or "max_iters"
     return _make_report(sys, v, G, cfg.max_iters, reason, t0, warns)
 
 
@@ -256,10 +249,10 @@ def trust_region_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -
     scale = _floor_scale(sys)
     v = np.array(v0, dtype=float)
     warns: list[str] = []
-    radius = cfg.initial_trust_radius
+    radius = None  # the length of the first step, set at iteration 0
     G = residual(sys, v)
     k = 0
-    reason = _converged(sys, v, G, cfg)
+    reason = _converged(G, cfg)
     while reason is None:
         if k >= cfg.max_iters:
             reason = "max_iters"
@@ -271,6 +264,9 @@ def trust_region_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -
             return _floor_report(sys, v, G, step_newton, k, t0, warns)
         g = vjp(sys, v, G)
         Jg = jvp(sys, v, g)
+        if radius is None:
+            radius = (np.linalg.norm(step_newton) if step_newton is not None
+                      else float(g @ g) ** 1.5 / float(Jg @ Jg))  # ||Cauchy step||
         merit = _merit(G)
         accepted = False
         while radius >= cfg.min_trust_radius:
@@ -293,7 +289,7 @@ def trust_region_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -
             reason = "radius_underflow"
             break
         k += 1
-        reason = _converged(sys, v, G, cfg)
+        reason = _converged(G, cfg)
         if reason is None and step_inf <= cfg.tol_step:
             reason = "step"
     return _make_report(sys, v, G, k, reason, t0, warns)

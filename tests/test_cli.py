@@ -212,17 +212,12 @@ class TestMain:
         code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1"])
         assert code == EXIT_NO_CONVERGENCE
 
-    def test_lambda1_lambda2_validated_recorded_and_inert(self, capsys):
-        base = ["--problem", "example2", "--n", "5", "--m", "5", "--format", "csv"]
-        assert main(base) == EXIT_OK
-        default = parse_run_result_csv(capsys.readouterr().out)[0]
-        assert main(base + ["--lambda1", "1.0", "--lambda2", "1.5"]) == EXIT_OK
-        other = parse_run_result_csv(capsys.readouterr().out)[0]
-        assert (other["lambda1"], other["lambda2"]) == (1.0, 1.5)
-        for key in ("aae", "max_err", "iterations", "converged"):
-            assert other[key] == default[key]
-        assert main(base + ["--lambda2", "2.5"]) == EXIT_INVALID_CONFIG
+    @pytest.mark.parametrize("flag", ["--n1", "--n2", "--lambda1", "--lambda2"])
+    def test_removed_quadrature_flags_rejected(self, capsys, flag):
+        # the quadrature is sized from m and takes no Gegenbauer index
+        assert main(["--problem", "example2", "--n", "4", "--m", "4", flag, "1"]) \
+            == EXIT_INVALID_CONFIG
 
     def test_example2_n32_converges(self, capsys):
-        # stops at the rounding floor; ||J^T G|| never reaches tol_opt here
+        # G does not vanish at the least-squares minimiser: stops at the rounding floor
         assert main(["--problem", "example2", "--n", "32", "--m", "32"]) == EXIT_OK

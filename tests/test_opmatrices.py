@@ -12,8 +12,6 @@ from fbbmb.opmatrices import (
     build_sgdm,
     build_sgim,
     build_sgirv,
-    load_matrix,
-    save_matrix,
 )
 from fbbmb.oracles import caputo_power_rule, fd_derivative, rlfi_power_rule
 
@@ -96,27 +94,27 @@ class TestFracIntMatrix:
     def test_beta_out_of_range(self, ns5):
         for bad in (0.0, -0.3, 1.2):
             with pytest.raises(ParameterDomainError):
-                build_rl_fsgim(ns5, bad, 14)
+                build_rl_fsgim(ns5, bad)
 
     def test_beta_one_matches_plain_integration(self, ns8):
-        B = build_rl_fsgim(ns8, 1.0, 14)
+        B = build_rl_fsgim(ns8, 1.0)
         Q = build_sgim(ns8)
         for k in range(9):
             np.testing.assert_allclose(B @ ns8.nodes**k, Q @ ns8.nodes**k, atol=1e-12)
 
     def test_half_order_constant(self, ns8):
-        B = build_rl_fsgim(ns8, 0.5, 14)
+        B = build_rl_fsgim(ns8, 0.5)
         expected = ns8.nodes**0.5 / math.gamma(1.5)
         np.testing.assert_allclose(B @ np.ones(9), expected, atol=1e-10)
 
     def test_half_order_linear(self, ns8):
-        B = build_rl_fsgim(ns8, 0.5, 14)
+        B = build_rl_fsgim(ns8, 0.5)
         expected = math.gamma(2.0) / math.gamma(2.5) * ns8.nodes**1.5
         np.testing.assert_allclose(B @ ns8.nodes, expected, atol=1e-10)
 
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
     def test_power_rule_sweep(self, ns8, beta):
-        B = build_rl_fsgim(ns8, beta, 14)
+        B = build_rl_fsgim(ns8, beta)
         for k in range(8):
             expected = np.array([rlfi_power_rule(k, beta, t) for t in ns8.nodes])
             np.testing.assert_allclose(B @ ns8.nodes**k, expected, atol=1e-9)
@@ -124,54 +122,64 @@ class TestFracIntMatrix:
     def test_semigroup(self, ns8):
         # intermediate B^0.4 g has a fractional power t^(k+0.4); its nodal
         # re-interpolation aliases hard for low k, so spot-check at degree m-1
-        B3 = build_rl_fsgim(ns8, 0.3, 14)
-        B4 = build_rl_fsgim(ns8, 0.4, 14)
-        B7 = build_rl_fsgim(ns8, 0.7, 14)
+        B3 = build_rl_fsgim(ns8, 0.3)
+        B4 = build_rl_fsgim(ns8, 0.4)
+        B7 = build_rl_fsgim(ns8, 0.7)
         g = ns8.nodes**7
         np.testing.assert_allclose(B3 @ (B4 @ g), B7 @ g, atol=1e-7)
 
     def test_semigroup_aliasing_shrinks_with_degree(self, ns8):
-        B3 = build_rl_fsgim(ns8, 0.3, 14)
-        B4 = build_rl_fsgim(ns8, 0.4, 14)
-        B7 = build_rl_fsgim(ns8, 0.7, 14)
+        B3 = build_rl_fsgim(ns8, 0.3)
+        B4 = build_rl_fsgim(ns8, 0.4)
+        B7 = build_rl_fsgim(ns8, 0.7)
         errs = [
             np.max(np.abs(B3 @ (B4 @ ns8.nodes**k) - B7 @ ns8.nodes**k))
             for k in (0, 3, 7)
         ]
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [40, 48])
+    def test_exact_for_top_degrees_on_large_grids(self, m, beta):
+        # the rule is sized from m, so the degree-m interpolant stays exact
+        ns = build_node_set(BasisParams(0.5, m))
+        B = build_rl_fsgim(ns, beta)
+        for k in (m - 2, m - 1, m):
+            expected = np.array([rlfi_power_rule(k, beta, t) for t in ns.nodes])
+            np.testing.assert_allclose(B @ ns.nodes**k, expected, rtol=0, atol=1e-12)
+
 
 class TestCaputoMatrix:
     def test_alpha_out_of_range(self, ns5):
         with pytest.raises(ParameterDomainError):
-            build_c_fsgim(ns5, 1.5, 14)
+            build_c_fsgim(ns5, 1.5)
 
     def test_constant_annihilated(self, ns8):
-        A = build_c_fsgim(ns8, 0.5, 14)
+        A = build_c_fsgim(ns8, 0.5)
         np.testing.assert_allclose(A @ np.ones(9), 0.0, atol=1e-10)
 
     def test_half_order_fractional_power(self, ns8):
         # on t^1.5 data the matrix is exact for the Caputo of the interpolant
         # (checked at 1e-9 against the quadrature oracle in test_oracles); the
         # gap to the analytic power rule is pure interpolation aliasing
-        A = build_c_fsgim(ns8, 0.5, 14)
+        A = build_c_fsgim(ns8, 0.5)
         expected = math.gamma(2.5) / math.gamma(2.0) * ns8.nodes
         err8 = np.max(np.abs(A @ ns8.nodes**1.5 - expected))
         assert err8 < 1e-2
         ns32 = build_node_set(BasisParams(0.5, 32))
-        A32 = build_c_fsgim(ns32, 0.5, 34)
+        A32 = build_c_fsgim(ns32, 0.5)
         expected32 = math.gamma(2.5) / math.gamma(2.0) * ns32.nodes
         err32 = np.max(np.abs(A32 @ ns32.nodes**1.5 - expected32))
         assert err32 < err8 / 10
 
     def test_alpha_one_is_classical_derivative(self, ns8):
-        A = build_c_fsgim(ns8, 1.0, 14)
+        A = build_c_fsgim(ns8, 1.0)
         np.testing.assert_allclose(A @ ns8.nodes**2, 2 * ns8.nodes, atol=1e-11)
         np.testing.assert_allclose(A, build_sgdm(ns8))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_caputo_power_rule_sweep(self, ns8, alpha):
-        A = build_c_fsgim(ns8, alpha, 14)
+        A = build_c_fsgim(ns8, alpha)
         for k in range(1, 8):
             expected = np.array([caputo_power_rule(k, alpha, t) for t in ns8.nodes])
             np.testing.assert_allclose(A @ ns8.nodes**k, expected, atol=1e-8)
@@ -189,22 +197,7 @@ class TestOperatorBundle:
         assert ops.Q_t.shape == (9, 9)
         assert ops.caputo.shape == (9, 9)
 
-
-class TestMatrixDump:
-    def test_json_round_trip(self, tmp_path, ns5):
-        M = build_sgdm(ns5)
-        path = tmp_path / "d.json"
-        save_matrix(M, path)
-        np.testing.assert_array_equal(load_matrix(path), M)
-
-    def test_binary_round_trip(self, tmp_path, ns5):
-        M = build_sgim(ns5)
-        path = tmp_path / "q.bin"
-        save_matrix(M, path)
-        np.testing.assert_array_equal(load_matrix(path), M)
-
-    def test_binary_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"nope" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_matrix(path)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_caputo_bit_identical_to_builder(self, ns5, ns8, alpha):
+        ops = build_operator_bundle(ns5, ns8, alpha)
+        np.testing.assert_array_equal(ops.caputo, build_c_fsgim(ns8, alpha))

@@ -103,7 +103,7 @@ class TestCaputoMatrixAgainstOracle:
         # t^1.5 data the quadrature oracle applied to the interpolant's
         # derivative must agree to near machine precision
         ns = build_node_set(BasisParams(0.5, 8))
-        A = build_c_fsgim(ns, 0.5, 14)
+        A = build_c_fsgim(ns, 0.5)
         data = ns.nodes**1.5
         dp = build_sgdm(ns) @ data
         oracle = np.array(

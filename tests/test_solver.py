@@ -6,7 +6,7 @@ import pytest
 
 import fbbmb.solver
 
-from fbbmb.assembly import GridOrdering, assemble, jacobian, residual
+from fbbmb.assembly import GridOrdering, assemble, jacobian, residual, vjp
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import example1, example2
@@ -43,7 +43,7 @@ class TestSolverConfig:
             {"max_iters": 100, "eta_accept": 1.5},
             {"method": "bfgs"},
             {"min_trust_radius": 0.0},
-            {"initial_trust_radius": -1.0},
+            {"eta_accept": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -119,10 +119,10 @@ class TestFloorScale:
 class TestStopReasons:
     @pytest.mark.parametrize("method", ["newton", "trust_region"])
     def test_example2_stops_converged_at_rounding_floor(self, method):
-        # ||J^T G|| cannot reach tol_opt here: G does not vanish at the
-        # least-squares minimiser, and J^T G bottoms out at roundoff
+        # G does not vanish at the least-squares minimiser, so only the floor
+        # can end this solve converged
         sys6 = make_system(example2(0.5), 6, 6)
-        rep = solve(sys6, SolverConfig(tol_opt=1e-11, method=method, max_iters=300))
+        rep = solve(sys6, SolverConfig(method=method, max_iters=300))
         assert rep.converged
         assert rep.stop_reason == "floor"
 
@@ -133,6 +133,18 @@ class TestStopReasons:
         assert rep.iterations <= 5
         exact = example2(0.5).exact(sys32.ns_x.nodes[:, None], sys32.ns_t.nodes[None, :])
         assert np.mean(np.abs(rep.solution.u - exact.reshape(-1))) <= 1e-14
+
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_example2_converges_to_roundoff(self, n, alpha, method):
+        # a converged verdict one step short of roundoff would read 2-3e-15
+        spec = example2(alpha)
+        sys_n = make_system(spec, n, n)
+        rep = solve(sys_n, SolverConfig(method=method))
+        exact = spec.exact(sys_n.ns_x.nodes[:, None], sys_n.ns_t.nodes[None, :])
+        assert rep.converged
+        assert np.mean(np.abs(rep.solution.u - exact.reshape(-1))) <= 1e-15
 
     def test_exhausted_line_search_rejects_trial_point(self, sys_ex2, monkeypatch):
         def uphill(sys, v, G, warns, k):
@@ -150,9 +162,9 @@ class TestStopReasons:
         "cfg, reason, converged",
         [
             (SolverConfig(tol_residual=1e-3), "residual", True),
-            (SolverConfig(), "optimality", True),
-            (SolverConfig(max_iters=1, tol_opt=1e-15, tol_residual=1e-15), "max_iters", False),
-            (SolverConfig(tol_step=1e3, tol_opt=1e-15, tol_residual=1e-15), "step", False),
+            (SolverConfig(), "floor", True),
+            (SolverConfig(max_iters=1, tol_residual=1e-15), "max_iters", False),
+            (SolverConfig(tol_step=1e3, tol_residual=1e-15), "step", False),
             (SolverConfig(method="trust_region", min_trust_radius=2.0), "radius_underflow", False),
         ],
     )
@@ -160,6 +172,33 @@ class TestStopReasons:
         rep = solve(sys_ex1, cfg)
         assert rep.stop_reason == reason
         assert rep.converged == converged
+
+
+class TestDoglegRadius:
+    # the first radius is the first Gauss-Newton step's length, so the dogleg
+    # tries full Gauss-Newton steps as Newton does
+    @pytest.mark.parametrize("factory", [example1, example2])
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_iterations_match_newton(self, factory, n):
+        sys_n = make_system(factory(0.5), n, n)
+        rn = solve(sys_n, SolverConfig())
+        rt = solve(sys_n, SolverConfig(method="trust_region"))
+        assert rn.converged and rt.converged
+        assert abs(rt.iterations - rn.iterations) <= 1
+
+    def test_non_finite_first_step_starts_from_cauchy_radius(self, sys_ex2, monkeypatch):
+        calls = []
+
+        def nan_first(sys, v, G, warns, k):
+            calls.append(k)
+            step = newton_step(sys, v, G, warns, k)
+            return np.full_like(step, np.nan) if len(calls) == 1 else step
+
+        base = solve(sys_ex2, SolverConfig(method="trust_region"))
+        monkeypatch.setattr(fbbmb.solver, "newton_step", nan_first)
+        rep = solve(sys_ex2, SolverConfig(method="trust_region"))
+        assert rep.converged
+        np.testing.assert_allclose(rep.solution.v, base.solution.v, atol=1e-12)
 
 
 class TestEvaluationCounts:
@@ -217,7 +256,8 @@ class TestAffinePath:
         rep = newton_solve(sys_affine, np.zeros(sys_affine.ordering.size), cfg)
         assert rep.converged
         assert rep.iterations <= 1
-        assert rep.final_residual <= cfg.tol_opt
+        G = residual(sys_affine, rep.solution.v)
+        assert np.max(np.abs(vjp(sys_affine, rep.solution.v, G))) <= 1e-9
 
     def test_trust_region_reaches_same_root(self, sys_affine):
         cfg_n = SolverConfig()
@@ -235,19 +275,19 @@ class TestLeastSquaresFormulation:
         assert rep.converged
         G = residual(sys_ex2, rep.solution.v)
         J = jacobian(sys_ex2, rep.solution.v)
-        assert np.max(np.abs(J.T @ G)) <= cfg.tol_opt
+        assert np.max(np.abs(J.T @ G)) <= 1e-9
 
     def test_adversarial_start_trust_region(self, sys_ex1):
-        cfg = SolverConfig(method="trust_region", max_iters=500, tol_opt=1e-9)
+        cfg = SolverConfig(method="trust_region", max_iters=500)
         v0 = np.full(sys_ex1.ordering.size, 1.0e3)
         rep = trust_region_solve(sys_ex1, v0, cfg)
         assert rep.converged
-        base = solve(sys_ex1, SolverConfig(tol_opt=1e-12))
+        base = solve(sys_ex1, SolverConfig())
         np.testing.assert_allclose(rep.solution.v, base.solution.v, atol=1e-6)
 
     def test_methods_agree_at_tight_optimality(self, sys_ex1):
-        cfg_n = SolverConfig(tol_opt=1e-12)
-        cfg_t = SolverConfig(method="trust_region", tol_opt=1e-12, max_iters=300)
+        cfg_n = SolverConfig()
+        cfg_t = SolverConfig(method="trust_region", max_iters=300)
         rn = solve(sys_ex1, cfg_n)
         rt = solve(sys_ex1, cfg_t)
         assert rn.converged and rt.converged
@@ -271,5 +311,5 @@ class TestReportContract:
         assert isinstance(rep.warnings, tuple)
 
     def test_iteration_cap_reports_nonconverged(self, sys_ex2):
-        rep = solve(sys_ex2, SolverConfig(max_iters=1, tol_opt=1e-15, tol_residual=1e-15))
+        rep = solve(sys_ex2, SolverConfig(max_iters=1, tol_residual=1e-15))
         assert not rep.converged
