@@ -2,9 +2,7 @@
 on the unit square, built on shifted Gegenbauer-Gauss collocation."""
 
 from .assembly import (
-    DiscreteSolution,
     DiscreteSystem,
-    GridOrdering,
     ProblemSpec,
     assemble,
     compute_aae,
@@ -18,7 +16,7 @@ from .assembly import (
 from .basis import BasisParams, NodeSet, build_node_set, interpolate
 from .opmatrices import OperatorBundle, build_operator_bundle
 from .problems import get_problem, register_problems
-from .solver import SolverConfig, SolveReport, newton_solve, solve, trust_region_solve
+from .solver import SolverConfig, SolveReport, solve
 
 __all__ = [
     "BasisParams",
@@ -28,9 +26,7 @@ __all__ = [
     "OperatorBundle",
     "build_operator_bundle",
     "ProblemSpec",
-    "GridOrdering",
     "DiscreteSystem",
-    "DiscreteSolution",
     "assemble",
     "residual",
     "jacobian",
@@ -41,8 +37,6 @@ __all__ = [
     "compute_aae",
     "SolverConfig",
     "SolveReport",
-    "newton_solve",
-    "trust_region_solve",
     "solve",
     "get_problem",
     "register_problems",

@@ -24,7 +24,7 @@ from .opmatrices import OperatorBundle
 
 
 class AssemblyError(ValueError):
-    """Raised on shape mismatches between operators and the grid ordering."""
+    """Raised when the operator bundle and the problem disagree on alpha."""
 
 
 @dataclass(frozen=True)
@@ -50,23 +50,10 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class GridOrdering:
-    """Space-major vectorization bookkeeping for an (n+1) x (m+1) grid."""
-
-    n: int
-    m: int
-
-    @property
-    def size(self) -> int:
-        return (self.n + 1) * (self.m + 1)
-
-
-@dataclass(frozen=True)
 class DiscreteSystem:
     """Assembled collocation system: the 1-D operator factors of Psi, K_tn and
     Q_tx, data vectors, and the boundary integral constraint C v = Rhat."""
 
-    ordering: GridOrdering
     ns_x: NodeSet
     ns_t: NodeSet
     Q_x: np.ndarray
@@ -80,21 +67,9 @@ class DiscreteSystem:
     Rhat: np.ndarray
 
 
-@dataclass(frozen=True)
-class DiscreteSolution:
-    v: np.ndarray
-    u: np.ndarray
-    residual_norm: float
-    constraint_norm: float
-
-
-def assemble(spec: ProblemSpec, ops: OperatorBundle, ordering: GridOrdering) -> DiscreteSystem:
-    n, m = ordering.n, ordering.m
-    if ops.ns_x.n != n or ops.ns_t.n != m:
-        raise AssemblyError(
-            f"operator bundle built for (n={ops.ns_x.n}, m={ops.ns_t.n}), "
-            f"ordering expects (n={n}, m={m})"
-        )
+def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
+    """The collocation system of the problem on the bundle's (n+1) x (m+1) grid."""
+    n, m = ops.ns_x.n, ops.ns_t.n
     if abs(ops.alpha - spec.alpha) > 0:
         raise AssemblyError(f"bundle alpha={ops.alpha} != problem alpha={spec.alpha}")
     x, t = ops.ns_x.nodes, ops.ns_t.nodes
@@ -114,13 +89,13 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle, ordering: GridOrdering) -> 
     F = np.asarray(f_grid, dtype=float).reshape(-1) - np.kron(ones_x, ops.caputo @ psi1_t)
     Rhat = psi2_t - psi1_t - (phi1 - phi0) * ones_t
 
-    return DiscreteSystem(ordering, ops.ns_x, ops.ns_t, ops.Q_x, ops.D_x, ops.rl_frac,
+    return DiscreteSystem(ops.ns_x, ops.ns_t, ops.Q_x, ops.D_x, ops.rl_frac,
                           ops.Q_t, S, phi_prime, F, C, Rhat)
 
 
 def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """The (n+1) x (m+1) matrix whose space-major vectorization is v."""
-    return v.reshape(sys.ordering.n + 1, sys.ordering.m + 1)
+    return v.reshape(sys.ns_x.n + 1, sys.ns_t.n + 1)
 
 
 def _nonlinear_factors(sys: DiscreteSystem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +128,7 @@ def jvp(sys: DiscreteSystem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def vjp(sys: DiscreteSystem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """[J(v); C]^T q for q of length N+m+1, without forming J."""
-    N = sys.ordering.size
+    N = sys.F.size
     Qm = _grid(sys, q[:N])
     Y, W = _nonlinear_factors(sys, v)
     top = (sys.Q_x.T @ (Qm @ sys.rl_frac + (Y * Qm) @ sys.Q_t) - sys.D_x.T @ Qm
@@ -171,7 +146,7 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     the first term is one broadcast product into the whole block, the other two
     touch only its (n+1)^2 (m+1) and (n+1)(m+1)^2 structured entries.
     """
-    n1, m1 = sys.ordering.n + 1, sys.ordering.m + 1
+    n1, m1 = sys.ns_x.n + 1, sys.ns_t.n + 1
     N = n1 * m1
     Y, W = _nonlinear_factors(sys, v)
     out_t = np.empty((N, N + m1))  # out_t[(p, q), (i, j)] = J[(i, j), (p, q)]
@@ -186,7 +161,7 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
-    """Nodal solution values u = S + Q_tx v in the fixed ordering."""
+    """Nodal solution values u = S + Q_tx v in the space-major ordering."""
     return sys.S + (sys.Q_x @ _grid(sys, v) @ sys.Q_t.T).reshape(-1)
 
 

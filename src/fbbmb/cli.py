@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import GridOrdering, assemble, compute_aae, evaluate_on_mesh, reconstruct
+from .assembly import assemble, compute_aae, evaluate_on_mesh
 from .basis import BasisParams, ParameterDomainError, build_node_set
 from .opmatrices import build_operator_bundle
 from .problems import get_problem, register_problems
@@ -83,11 +83,11 @@ def run(cfg: RunConfig) -> RunResult:
     ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
     ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
     ops = build_operator_bundle(ns_x, ns_t, cfg.alpha)
-    sys_d = assemble(spec, ops, GridOrdering(cfg.n, cfg.m))
+    sys_d = assemble(spec, ops)
     precompute_seconds = time.perf_counter() - t_pre
 
     report = solve(sys_d, cfg.solver)
-    u = report.solution.u
+    u = report.u
 
     grid = None
     if spec.exact is None:

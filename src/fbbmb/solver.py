@@ -1,6 +1,7 @@
-"""Damped Gauss-Newton and dogleg trust-region solvers for the collocation system.
+"""Gauss-Newton iteration, globalized by a line search or a dogleg trust region,
+for the collocation system.
 
-Both minimize 0.5 ||G(v)||^2 over the transform field v, for the stacked
+`solve` minimizes 0.5 ||G(v)||^2 over the transform field v, for the stacked
 residual G(v) = [R(v); C v - Rhat]: the collocation rows and the boundary
 integral constraint, coupled by least squares. On the benchmark problems the
 collocation and constraint rows carry a small mutual inconsistency, so G need
@@ -8,52 +9,59 @@ not vanish at the minimizer. Convergence is declared on a residual root,
 ||G||_inf <= tol_residual, or at the rounding floor (below), which is where a
 least-squares minimizer with G != 0 stops.
 
+There is one iteration loop. Each pass tests the residual, takes the
+Gauss-Newton step, tests the rounding floor, shortens the step until it lowers
+the merit, tests the step size, and last the iteration cap. `cfg.method` picks
+only the shortening (Nocedal & Wright, Numerical Optimization, ch. 10-11):
+"newton" halves the step up to 30 times (`_line_search`); "trust_region"
+blends it with the Cauchy step inside a radius carried from one iteration to
+the next (`_dogleg`). The dogleg's first radius is the length of the first
+Gauss-Newton step, or of the Cauchy step when that step is not finite (More,
+"The Levenberg-Marquardt algorithm", 1978), so a full Gauss-Newton step is
+tried first and the dogleg takes Newton's iterations where those steps succeed.
+
 The dense Jacobian [J(v); C] exists only inside a linear step: `newton_step`
 builds it, LAPACK getrf overwrites it with its LU factors, and it is dropped
-when the step returns. Everything else the solvers need of J (J^T G for the
+when the step returns. Everything else the loop needs of J (J^T G for the
 dogleg's gradient, J p for predicted decreases) comes from the matrix-free
 products `jvp` and `vjp`, so no Jacobian is held between steps or built after
 the last one.
 
-Each Gauss-Newton step (and the Newton leg of the dogleg) is a rectangular-LU
-least-squares solve (Peters & Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with
-partial pivoting gives P J = [L1; L2] U, B = L2 L1^-1, and the remaining
-(m+1)-column correction min ||[B^T; I] s - [c1; -c2]|| is well-conditioned
-(||B||_2 is a few units), so it is solved through its (m+1) x (m+1) normal
-equations. Back-substitution through L1 and U gives the step. When LU cannot
-give a reliable step (an exact zero pivot, or a trcon estimate of rcond(U)
-below eps * rows), J is built again and the step is the minimum-norm solution
-by QR with column pivoting (LAPACK gelsy), and the report warns if J has lost
-rank.
+Each Gauss-Newton step is a rectangular-LU least-squares solve (Peters &
+Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
+P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
+min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
+so it is solved through its (m+1) x (m+1) normal equations. Back-substitution
+through L1 and U gives the step. When LU cannot give a reliable step (an exact
+zero pivot, or a trcon estimate of rcond(U) below eps * rows), J is built again
+and the step is the minimum-norm solution by QR with column pivoting (LAPACK
+gelsy), and the report warns if J has lost rank.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the computed
-residual, Higham ch. 3), no further iteration can be told from roundoff.
-Newton and the dogleg then take the full step unless it raises the merit, and
-stop converged with stop_reason "floor". The floor scales with ||Psi|| and ||v||;
-an absolute bound on ||J^T G|| would not, since ||J|| grows like n^2.
-
-The dogleg's first trust radius is the length of the first Gauss-Newton step,
-or of the Cauchy step when that step is not finite (More, "The
-Levenberg-Marquardt algorithm", 1978), so a full Gauss-Newton step is tried
-first and the dogleg takes Newton's iterations where those steps succeed.
+residual, Higham ch. 3), no further iteration can be told from roundoff. The
+loop then takes the full step unless it raises the merit, and stops converged
+with stop_reason "floor". The floor scales with ||Psi|| and ||v||; an absolute
+bound on ||J^T G|| would not, since ||J|| grows like n^2.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lstsq
 from scipy.linalg import solve as dense_solve
 
-from .assembly import (DiscreteSolution, DiscreteSystem, jacobian, jvp, reconstruct, residual,
-                       vjp)
+from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, vjp
 
 EPS = np.finfo(float).eps
 CONVERGED_REASONS = ("residual", "floor")
+TOL_STEP = 1e-14  # stop, not converged, once a step's largest entry is this small
+MIN_TRUST_RADIUS = 1e-12  # the dogleg gives up below this radius
+ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
 _getrf, _trtrs, _trcon, _laswp = get_lapack_funcs(("getrf", "trtrs", "trcon", "laswp"), dtype=float)
 
@@ -61,39 +69,38 @@ _getrf, _trtrs, _trcon, _laswp = get_lapack_funcs(("getrf", "trtrs", "trcon", "l
 @dataclass(frozen=True)
 class SolverConfig:
     tol_residual: float = 1e-12
-    tol_step: float = 1e-14
     max_iters: int = 100
-    min_trust_radius: float = 1e-12
-    eta_accept: float = 0.1
     method: str = "newton"  # "newton" | "trust_region"
 
     def __post_init__(self):
-        if min(self.tol_residual, self.tol_step, self.min_trust_radius) <= 0:
-            raise ValueError("tolerances and radii must be positive")
-        if not 0.0 < self.eta_accept < 1.0:
-            raise ValueError(f"eta_accept={self.eta_accept} outside (0, 1)")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
         if self.method not in ("newton", "trust_region"):
             raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """`final_residual` is ||G||_inf at the returned iterate, the measure the
-    "residual" stop tests.
+    """The returned iterate `v`, its nodal solution `u`, and how the loop ended.
 
+    `final_residual` is ||G||_inf at `v`, the measure the "residual" stop tests.
     `stop_reason` names the test that ended the iteration. Converged: "residual"
     (||G||_inf <= tol_residual), "floor" (the step's predicted decrease is below
-    the merit's rounding level). Not converged: "step" (step below tol_step),
+    the merit's rounding level). Not converged: "step" (step below TOL_STEP),
     "stagnation" (30 halvings found no decrease), "max_iters",
-    "radius_underflow" (trust radius below its minimum)."""
+    "radius_underflow" (trust radius below MIN_TRUST_RADIUS)."""
 
-    solution: DiscreteSolution
+    v: np.ndarray
+    u: np.ndarray
     iterations: int
     final_residual: float
-    converged: bool
     wall_time: float
     stop_reason: str
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in CONVERGED_REASONS
 
 
 def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[str],
@@ -143,17 +150,14 @@ def _floor_scale(sys: DiscreteSystem) -> tuple[float, float]:
 
 def _at_floor(sys, v, G, step, scale):
     """Whether the full step's predicted decrease is within the merit's
-    rounding level."""
+    rounding level; never for a non-finite step."""
+    if not np.all(np.isfinite(step)):
+        return False
     psi_norm, f_norm = scale
     Jp = jvp(sys, v, step)
     level = (np.linalg.norm(G) * np.sqrt(G.size) * EPS
              * (psi_norm * np.max(np.abs(v)) + f_norm))
     return 0.5 * float(Jp @ Jp) <= level
-
-
-def _converged(G, cfg):
-    """The stop reason "residual" if ||G||_inf <= tol_residual, else None."""
-    return "residual" if np.max(np.abs(G)) <= cfg.tol_residual else None
 
 
 def _merit(G):
@@ -162,66 +166,30 @@ def _merit(G):
     return 0.5 * float(G @ G)
 
 
-def _make_report(sys, v, G, iters, reason, t0, warns):
-    """Report on the iterate v, whose residual G the loop has."""
-    sol = DiscreteSolution(
-        v=np.array(v),
-        u=reconstruct(sys, v),
-        residual_norm=float(np.max(np.abs(G[: v.size]))),
-        constraint_norm=float(np.max(np.abs(G[v.size :]))),
-    )
-    return SolveReport(
-        solution=sol,
-        iterations=iters,
-        final_residual=float(np.max(np.abs(G))),
-        converged=reason in CONVERGED_REASONS,
-        wall_time=time.perf_counter() - t0,
-        stop_reason=reason,
-        warnings=tuple(warns),
-    )
+def _stop_reason(G, k, step_inf, cfg):
+    """The test that ends the iteration after k steps, the last of largest
+    entry step_inf, or None: the residual, the step size, then the cap."""
+    if np.max(np.abs(G)) <= cfg.tol_residual:
+        return "residual"
+    if step_inf <= TOL_STEP:
+        return "step"
+    if k >= cfg.max_iters:
+        return "max_iters"
+    return None
 
 
-def _floor_report(sys, v, G, step, k, t0, warns):
-    """Stop at the rounding floor, after taking the full step unless it raises
-    the merit."""
-    v_new = v + step
-    G_new = residual(sys, v_new)
-    if _merit(G_new) <= _merit(G):
-        v, G, k = v_new, G_new, k + 1
-    return _make_report(sys, v, G, k, "floor", t0, warns)
-
-
-def newton_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> SolveReport:
-    """Damped Gauss-Newton with a halving backtracking line search on the
-    least-squares merit."""
-    t0 = time.perf_counter()
-    scale = _floor_scale(sys)
-    v = np.array(v0, dtype=float)
-    warns: list[str] = []
-    G = residual(sys, v)
-    for k in range(cfg.max_iters):
-        reason = _converged(G, cfg)
-        if reason:
-            return _make_report(sys, v, G, k, reason, t0, warns)
-        step = newton_step(sys, v, G, warns, k)
-        if _at_floor(sys, v, G, step, scale):
-            return _floor_report(sys, v, G, step, k, t0, warns)
-        merit = _merit(G)
-        damp = 1.0
-        for _ in range(30):
-            v_new = v + damp * step
-            G_new = residual(sys, v_new)
-            if _merit(G_new) < merit:
-                break
-            damp *= 0.5
-        else:
-            return _make_report(sys, v, G, k, "stagnation", t0, warns)
-        v, G = v_new, G_new
-        if damp * np.max(np.abs(step)) <= cfg.tol_step:
-            reason = _converged(G, cfg) or "step"
-            return _make_report(sys, v, G, k + 1, reason, t0, warns)
-    reason = _converged(G, cfg) or "max_iters"
-    return _make_report(sys, v, G, cfg.max_iters, reason, t0, warns)
+def _line_search(sys, v, G, step):
+    """The first of step, step/2, ... (30 tries) that lowers the merit, with the
+    residual after it, or None."""
+    merit = _merit(G)
+    damp = 1.0
+    for _ in range(30):
+        trial = damp * step
+        G_new = residual(sys, v + trial)
+        if _merit(G_new) < merit:
+            return trial, G_new
+        damp *= 0.5
+    return None
 
 
 def _dogleg_step(step_newton, g, Jg, radius):
@@ -242,61 +210,65 @@ def _dogleg_step(step_newton, g, Jg, radius):
     return cauchy + s * d, True
 
 
-def trust_region_solve(sys: DiscreteSystem, v0: np.ndarray, cfg: SolverConfig) -> SolveReport:
-    """Dogleg trust region on the least-squares merit 0.5 ||G||^2 with the exact
-    Jacobian."""
-    t0 = time.perf_counter()
-    scale = _floor_scale(sys)
-    v = np.array(v0, dtype=float)
-    warns: list[str] = []
-    radius = None  # the length of the first step, set at iteration 0
-    G = residual(sys, v)
-    k = 0
-    reason = _converged(G, cfg)
-    while reason is None:
-        if k >= cfg.max_iters:
-            reason = "max_iters"
-            break
-        step_newton = newton_step(sys, v, G, warns, k)
-        if not np.all(np.isfinite(step_newton)):
-            step_newton = None
-        if step_newton is not None and _at_floor(sys, v, G, step_newton, scale):
-            return _floor_report(sys, v, G, step_newton, k, t0, warns)
-        g = vjp(sys, v, G)
-        Jg = jvp(sys, v, g)
-        if radius is None:
-            radius = (np.linalg.norm(step_newton) if step_newton is not None
-                      else float(g @ g) ** 1.5 / float(Jg @ Jg))  # ||Cauchy step||
-        merit = _merit(G)
-        accepted = False
-        while radius >= cfg.min_trust_radius:
-            p, hit_boundary = _dogleg_step(step_newton, g, Jg, radius)
-            predicted = merit - 0.5 * float(np.sum((G + jvp(sys, v, p)) ** 2))
-            v_new = v + p
-            G_new = residual(sys, v_new)
-            merit_new = _merit(G_new)
-            rho = (merit - merit_new) / predicted if predicted > 0 else -1.0
-            if rho > cfg.eta_accept:
-                v, G = v_new, G_new
-                if rho > 0.75 and hit_boundary:
-                    radius *= 2.0
-                accepted = True
-                step_inf = np.max(np.abs(p))
-                break
-            radius *= 0.25
-        if not accepted:
-            warns.append(f"iteration {k}: trust radius underflow below {cfg.min_trust_radius}")
-            reason = "radius_underflow"
-            break
-        k += 1
-        reason = _converged(G, cfg)
-        if reason is None and step_inf <= cfg.tol_step:
-            reason = "step"
-    return _make_report(sys, v, G, k, reason, t0, warns)
+def _dogleg(sys, v, G, step, radius):
+    """((accepted step, residual after it) or None, the radius to carry on).
+    A radius of None is set from the first step."""
+    if not np.all(np.isfinite(step)):
+        step = None
+    g = vjp(sys, v, G)
+    Jg = jvp(sys, v, g)
+    if radius is None:
+        radius = (np.linalg.norm(step) if step is not None
+                  else float(g @ g) ** 1.5 / float(Jg @ Jg))  # ||Cauchy step||
+    merit = _merit(G)
+    while radius >= MIN_TRUST_RADIUS:
+        p, hit_boundary = _dogleg_step(step, g, Jg, radius)
+        predicted = merit - 0.5 * float(np.sum((G + jvp(sys, v, p)) ** 2))
+        G_new = residual(sys, v + p)
+        rho = (merit - _merit(G_new)) / predicted if predicted > 0 else -1.0
+        if rho > ETA_ACCEPT:
+            if rho > 0.75 and hit_boundary:
+                radius *= 2.0
+            return (p, G_new), radius
+        radius *= 0.25
+    return None, radius
 
 
 def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) -> SolveReport:
-    """Solve from the zero initial guess (or the given one) with the configured method."""
-    v0 = np.zeros(sys.ordering.size) if v0 is None else v0
-    runner = newton_solve if cfg.method == "newton" else trust_region_solve
-    return runner(sys, v0, cfg)
+    """Gauss-Newton from the zero initial guess (or the given one), its steps
+    shortened as `cfg.method` says."""
+    t0 = time.perf_counter()
+    scale = _floor_scale(sys)
+    v = np.zeros(sys.F.size) if v0 is None else np.array(v0, dtype=float)
+    warns: list[str] = []
+    radius = None
+    G = residual(sys, v)
+    k = 0
+    reason = _stop_reason(G, k, np.inf, cfg)
+    while reason is None:
+        step = newton_step(sys, v, G, warns, k)
+        if _at_floor(sys, v, G, step, scale):
+            # take the full step unless it raises the merit
+            v_new = v + step
+            G_new = residual(sys, v_new)
+            if _merit(G_new) <= _merit(G):
+                v, G, k = v_new, G_new, k + 1
+            reason = "floor"
+            break
+        if cfg.method == "newton":
+            accepted = _line_search(sys, v, G, step)
+            if accepted is None:
+                reason = "stagnation"
+                break
+        else:
+            accepted, radius = _dogleg(sys, v, G, step, radius)
+            if accepted is None:
+                warns.append(f"iteration {k}: trust radius underflow below {MIN_TRUST_RADIUS}")
+                reason = "radius_underflow"
+                break
+        p, G = accepted
+        v = v + p
+        k += 1
+        reason = _stop_reason(G, k, np.max(np.abs(p)), cfg)
+    return SolveReport(v, reconstruct(sys, v), k, float(np.max(np.abs(G))),
+                       time.perf_counter() - t0, reason, tuple(warns))

@@ -6,7 +6,6 @@ import pytest
 
 from fbbmb.assembly import (
     AssemblyError,
-    GridOrdering,
     ProblemSpec,
     assemble,
     compute_aae,
@@ -26,7 +25,7 @@ def make_system(spec, n, m, **bundle_kwargs):
     ns_x = build_node_set(BasisParams(0.5, n))
     ns_t = build_node_set(BasisParams(0.5, m))
     ops = build_operator_bundle(ns_x, ns_t, spec.alpha, **bundle_kwargs)
-    return assemble(spec, ops, GridOrdering(n, m))
+    return assemble(spec, ops)
 
 
 def without_nonlinear_term(sys):
@@ -40,14 +39,14 @@ def psi_matrix(sys):
     # the factored linear operator applied to the identity columns: with the
     # nonlinear term gone, the top N rows of J(v) p are Psi p
     lin = without_nonlinear_term(sys)
-    N = sys.ordering.size
+    N = sys.F.size
     return np.column_stack([jvp(lin, np.zeros(N), e)[:N] for e in np.eye(N)])
 
 
 def dense_reference(sys, v):
     """Residual, Jacobian and nodal u of the system with every operator formed
     as a dense Kronecker product, for v in the space-major ordering."""
-    n1, m1 = sys.ordering.n + 1, sys.ordering.m + 1
+    n1, m1 = sys.ns_x.n + 1, sys.ns_t.n + 1
     Psi = np.kron(sys.Q_x, sys.rl_frac) - np.kron(sys.D_x, np.eye(m1))
     K_tn = np.kron(np.eye(n1), sys.Q_t)
     Q_tx = np.kron(sys.Q_x, sys.Q_t)
@@ -59,9 +58,6 @@ def dense_reference(sys, v):
 
 
 class TestGridOrdering:
-    def test_size(self):
-        assert GridOrdering(3, 5).size == 24
-
     def test_kron_matches_matrix_sandwich(self):
         # (A (x) B) vec(G) == vec(A G B^T) in the space-major ordering
         rng = np.random.default_rng(7)
@@ -117,7 +113,7 @@ class TestAssemble:
         ns_x = build_node_set(BasisParams(0.5, 1))
         ns_t = build_node_set(BasisParams(0.5, 1))
         ops = build_operator_bundle(ns_x, ns_t, 0.6)
-        sys = assemble(spec, ops, GridOrdering(1, 1))
+        sys = assemble(spec, ops)
         Qx, Dx, B = ops.Q_x, ops.D_x, ops.rl_frac
         expected = np.empty((4, 4))
         for i in range(2):
@@ -135,37 +131,29 @@ class TestAssemble:
         ns_x = build_node_set(BasisParams(0.5, 4))
         ns_t = build_node_set(BasisParams(0.5, 4))
         ops = build_operator_bundle(ns_x, ns_t, 1.0)
-        sys = assemble(spec, ops, GridOrdering(4, 4))
+        sys = assemble(spec, ops)
         expected = np.kron(ops.Q_x - ops.D_x, np.eye(5))
         np.testing.assert_allclose(psi_matrix(sys), expected, atol=1e-13)
 
     def test_no_field_holds_n_squared_entries(self):
         # operators stay as 1-D factors; C, (m+1) x N, is the largest array
         sys = make_system(example2(0.5), 12, 10)
-        N = sys.ordering.size
+        N = sys.F.size
         arrays = [getattr(sys, f.name) for f in dataclasses.fields(sys)]
         assert max(a.size for a in arrays if isinstance(a, np.ndarray)) < N * N
-
-    def test_shape_mismatch_rejected(self):
-        spec = example1(0.5)
-        ns_x = build_node_set(BasisParams(0.5, 3))
-        ns_t = build_node_set(BasisParams(0.5, 4))
-        ops = build_operator_bundle(ns_x, ns_t, 0.5)
-        with pytest.raises(AssemblyError):
-            assemble(spec, ops, GridOrdering(4, 4))
 
     def test_alpha_mismatch_rejected(self):
         spec = example1(0.5)
         ns = build_node_set(BasisParams(0.5, 3))
         ops = build_operator_bundle(ns, ns, 0.6)
         with pytest.raises(AssemblyError):
-            assemble(spec, ops, GridOrdering(3, 3))
+            assemble(spec, ops)
 
 
 class TestResidual:
     def test_zero_guess(self):
         sys = make_system(example1(0.5), 4, 4)
-        v = np.zeros(sys.ordering.size)
+        v = np.zeros(sys.F.size)
         G = residual(sys, v)
         # example 1: S = phi' = 0, so N(0) = 0 and the residual is [-F; 0]
         np.testing.assert_allclose(G[: v.size], -sys.F, atol=1e-15)
@@ -174,8 +162,8 @@ class TestResidual:
     def test_linear_path_is_affine(self):
         sys = without_nonlinear_term(make_system(example2(0.5), 3, 3))
         rng = np.random.default_rng(3)
-        v1 = rng.standard_normal(sys.ordering.size)
-        v2 = rng.standard_normal(sys.ordering.size)
+        v1 = rng.standard_normal(sys.F.size)
+        v2 = rng.standard_normal(sys.F.size)
         r0 = residual(sys, np.zeros_like(v1))
         r1 = residual(sys, v1)
         r2 = residual(sys, v2)
@@ -201,7 +189,7 @@ class TestJacobian:
         if not nl:
             sys = without_nonlinear_term(sys)
         rng = np.random.default_rng(11)
-        v = 0.3 * rng.standard_normal(sys.ordering.size)
+        v = 0.3 * rng.standard_normal(sys.F.size)
         J = jacobian(sys, v)
         h = 1e-7
         fd = np.empty_like(J)
@@ -216,7 +204,7 @@ class TestJacobian:
     def test_shape_and_constraint_rows(self):
         n, m = 3, 4
         sys = make_system(example2(0.5), n, m)
-        N = sys.ordering.size
+        N = sys.F.size
         J = jacobian(sys, np.zeros(N))
         assert J.shape == (N + m + 1, N)
         assert J.flags.f_contiguous  # so LAPACK factors it in place
@@ -226,7 +214,7 @@ class TestJacobian:
         # the Jacobian is written from the factors into one (N+m+1) x N array;
         # the temporaries are O(N (n+m))
         sys = make_system(example2(0.5), 16, 16)
-        v = np.zeros(sys.ordering.size)
+        v = np.zeros(sys.F.size)
         tracemalloc.start()
         try:
             J = jacobian(sys, v)
@@ -245,7 +233,7 @@ class TestFactoredOperators:
     @pytest.mark.parametrize("n, m", GRIDS)
     def test_match_dense_kronecker_products(self, name, n, m):
         sys = make_system(REGISTRY[name](0.5), n, m)
-        N = sys.ordering.size
+        N = sys.F.size
         rng = np.random.default_rng(n * 10 + m)
         v, p = rng.standard_normal(N), rng.standard_normal(N)
         q = rng.standard_normal(N + m + 1)
@@ -264,7 +252,7 @@ class TestFactoredOperators:
     @pytest.mark.parametrize("n, m", GRIDS)
     def test_adjoint_identity(self, name, n, m):
         sys = make_system(REGISTRY[name](0.5), n, m)
-        N = sys.ordering.size
+        N = sys.F.size
         rng = np.random.default_rng(n + 10 * m)
         v, p = rng.standard_normal(N), rng.standard_normal(N)
         q = rng.standard_normal(N + m + 1)
@@ -276,7 +264,7 @@ class TestFactoredOperators:
 class TestReconstruct:
     def test_zero_field_gives_background(self):
         sys = make_system(example2(0.5), 3, 3)
-        np.testing.assert_array_equal(reconstruct(sys, np.zeros(sys.ordering.size)), sys.S)
+        np.testing.assert_array_equal(reconstruct(sys, np.zeros(sys.F.size)), sys.S)
 
     def test_exact_field_reconstructs_solution(self):
         spec = example2(0.5)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fbbmb.assembly import GridOrdering, assemble, evaluate_on_mesh
+from fbbmb.assembly import assemble, evaluate_on_mesh
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.cli import (
     EXIT_INVALID_CONFIG,
@@ -97,10 +97,10 @@ class TestRun:
         spec = get_problem("example2", 0.5)
         ns_x = build_node_set(BasisParams(0.5, 6))
         ns_t = build_node_set(BasisParams(0.5, 6))
-        sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, 0.5), GridOrdering(6, 6))
+        sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, 0.5))
         xs = np.linspace(0.0, 1.0, 101)
         ts = xs if mesh == "uniform101" else np.array([1.0])
-        U = evaluate_on_mesh(solve(sys_d, SolverConfig()).solution.u, ns_x, ns_t, xs, ts)
+        U = evaluate_on_mesh(solve(sys_d, SolverConfig()).u, ns_x, ns_t, xs, ts)
         E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
         rows = [
             [float(x), float(t), float(U[i, j]), float(E[i, j]), float(abs(U[i, j] - E[i, j]))]

@@ -6,18 +6,18 @@ import pytest
 
 import fbbmb.solver
 
-from fbbmb.assembly import GridOrdering, assemble, jacobian, residual, vjp
+from fbbmb.assembly import assemble, jacobian, residual, vjp
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import example1, example2
-from fbbmb.solver import SolverConfig, newton_solve, newton_step, solve, trust_region_solve
+from fbbmb.solver import SolverConfig, newton_step, solve
 
 
 def make_system(spec, n, m):
     ns_x = build_node_set(BasisParams(0.5, n))
     ns_t = build_node_set(BasisParams(0.5, m))
     ops = build_operator_bundle(ns_x, ns_t, spec.alpha)
-    return assemble(spec, ops, GridOrdering(n, m))
+    return assemble(spec, ops)
 
 
 @pytest.fixture(scope="module")
@@ -39,22 +39,26 @@ class TestSolverConfig:
         "kwargs",
         [
             {"tol_residual": 0.0},
-            {"tol_step": -1e-3},
-            {"max_iters": 100, "eta_accept": 1.5},
             {"method": "bfgs"},
-            {"min_trust_radius": 0.0},
-            {"eta_accept": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_only_the_user_settings_are_fields(self):
+        # the step-size, trust-radius and acceptance thresholds are module
+        # constants, not settings
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert names == ["tol_residual", "max_iters", "method"]
+        with pytest.raises(TypeError):
+            SolverConfig(tol_step=1.0)
+
 
 class TestLeastSquaresStep:
     def test_matches_svd_least_squares(self):
         sys8 = make_system(example2(0.5), 8, 8)
-        v = np.zeros(sys8.ordering.size)
+        v = np.zeros(sys8.F.size)
         G = residual(sys8, v)
         warns = []
         step = newton_step(sys8, v, G, warns, 0)
@@ -63,7 +67,7 @@ class TestLeastSquaresStep:
         assert warns == []
 
     def test_rank_deficient_gives_minimum_norm_step_and_warns(self, sys_ex1, monkeypatch):
-        N = sys_ex1.ordering.size
+        N = sys_ex1.F.size
         rng = np.random.default_rng(5)
         A = rng.standard_normal((N + 5, 20)) @ rng.standard_normal((20, N))
         b = rng.standard_normal(N + 5)
@@ -85,7 +89,7 @@ class TestRectangularLuStep:
 
         monkeypatch.setattr(fbbmb.solver, "lstsq", no_fallback)
         sys_n = make_system(factory(0.5), n, n)
-        v = np.zeros(sys_n.ordering.size)
+        v = np.zeros(sys_n.F.size)
         G = residual(sys_n, v)
         step = newton_step(sys_n, v, G, [], 0)
         oracle, *_ = np.linalg.lstsq(jacobian(sys_n, v), -G, rcond=None)
@@ -96,7 +100,7 @@ class TestRectangularLuStep:
         # test rejects the LU the handler must get a newly built one
         sys8 = make_system(example2(0.5), 8, 8)
         monkeypatch.setattr(fbbmb.solver, "_trcon", lambda *args, **kwargs: (0.0, 0))
-        v = 0.1 * np.ones(sys8.ordering.size)
+        v = 0.1 * np.ones(sys8.F.size)
         G = residual(sys8, v)
         warns = []
         step = newton_step(sys8, v, G, warns, 0)
@@ -132,7 +136,7 @@ class TestStopReasons:
         assert rep.converged
         assert rep.iterations <= 5
         exact = example2(0.5).exact(sys32.ns_x.nodes[:, None], sys32.ns_t.nodes[None, :])
-        assert np.mean(np.abs(rep.solution.u - exact.reshape(-1))) <= 1e-14
+        assert np.mean(np.abs(rep.u - exact.reshape(-1))) <= 1e-14
 
     @pytest.mark.parametrize("method", ["newton", "trust_region"])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
@@ -144,19 +148,22 @@ class TestStopReasons:
         rep = solve(sys_n, SolverConfig(method=method))
         exact = spec.exact(sys_n.ns_x.nodes[:, None], sys_n.ns_t.nodes[None, :])
         assert rep.converged
-        assert np.mean(np.abs(rep.solution.u - exact.reshape(-1))) <= 1e-15
+        assert np.mean(np.abs(rep.u - exact.reshape(-1))) <= 1e-15
 
     def test_exhausted_line_search_rejects_trial_point(self, sys_ex2, monkeypatch):
         def uphill(sys, v, G, warns, k):
             return -newton_step(sys, v, G, warns, k)
 
         monkeypatch.setattr(fbbmb.solver, "newton_step", uphill)
-        v0 = np.zeros(sys_ex2.ordering.size)
+        v0 = np.zeros(sys_ex2.F.size)
         rep = solve(sys_ex2, SolverConfig())
         assert rep.stop_reason == "stagnation"
         assert not rep.converged
         assert rep.iterations == 0
-        np.testing.assert_array_equal(rep.solution.v, v0)
+        np.testing.assert_array_equal(rep.v, v0)
+
+    # the module thresholds raised to reach the "step" and "radius_underflow" exits
+    EXIT_THRESHOLDS = {"step": {"TOL_STEP": 1e3}, "radius_underflow": {"MIN_TRUST_RADIUS": 2.0}}
 
     @pytest.mark.parametrize(
         "cfg, reason, converged",
@@ -164,11 +171,13 @@ class TestStopReasons:
             (SolverConfig(tol_residual=1e-3), "residual", True),
             (SolverConfig(), "floor", True),
             (SolverConfig(max_iters=1, tol_residual=1e-15), "max_iters", False),
-            (SolverConfig(tol_step=1e3, tol_residual=1e-15), "step", False),
-            (SolverConfig(method="trust_region", min_trust_radius=2.0), "radius_underflow", False),
+            (SolverConfig(tol_residual=1e-15), "step", False),
+            (SolverConfig(method="trust_region"), "radius_underflow", False),
         ],
     )
-    def test_every_exit_names_its_reason(self, sys_ex1, cfg, reason, converged):
+    def test_every_exit_names_its_reason(self, sys_ex1, monkeypatch, cfg, reason, converged):
+        for name, value in self.EXIT_THRESHOLDS.get(reason, {}).items():
+            monkeypatch.setattr(fbbmb.solver, name, value)
         rep = solve(sys_ex1, cfg)
         assert rep.stop_reason == reason
         assert rep.converged == converged
@@ -198,7 +207,7 @@ class TestDoglegRadius:
         monkeypatch.setattr(fbbmb.solver, "newton_step", nan_first)
         rep = solve(sys_ex2, SolverConfig(method="trust_region"))
         assert rep.converged
-        np.testing.assert_allclose(rep.solution.v, base.solution.v, atol=1e-12)
+        np.testing.assert_allclose(rep.v, base.v, atol=1e-12)
 
 
 class TestEvaluationCounts:
@@ -235,7 +244,7 @@ class TestMemory:
         N = 21 * 21
         tracemalloc.start()
         try:
-            rep = solve(assemble(spec, ops, GridOrdering(20, 20)), SolverConfig())
+            rep = solve(assemble(spec, ops), SolverConfig())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -253,19 +262,19 @@ class TestAffinePath:
 
     def test_newton_one_iteration(self, sys_affine):
         cfg = SolverConfig()
-        rep = newton_solve(sys_affine, np.zeros(sys_affine.ordering.size), cfg)
+        rep = solve(sys_affine, cfg, np.zeros(sys_affine.F.size))
         assert rep.converged
         assert rep.iterations <= 1
-        G = residual(sys_affine, rep.solution.v)
-        assert np.max(np.abs(vjp(sys_affine, rep.solution.v, G))) <= 1e-9
+        G = residual(sys_affine, rep.v)
+        assert np.max(np.abs(vjp(sys_affine, rep.v, G))) <= 1e-9
 
     def test_trust_region_reaches_same_root(self, sys_affine):
         cfg_n = SolverConfig()
         cfg_t = SolverConfig(method="trust_region", max_iters=200)
-        rn = newton_solve(sys_affine, np.zeros(sys_affine.ordering.size), cfg_n)
-        rt = trust_region_solve(sys_affine, np.zeros(sys_affine.ordering.size), cfg_t)
+        rn = solve(sys_affine, cfg_n, np.zeros(sys_affine.F.size))
+        rt = solve(sys_affine, cfg_t, np.zeros(sys_affine.F.size))
         assert rt.converged
-        np.testing.assert_allclose(rt.solution.v, rn.solution.v, atol=1e-9)
+        np.testing.assert_allclose(rt.v, rn.v, atol=1e-9)
 
 
 class TestLeastSquaresFormulation:
@@ -273,17 +282,24 @@ class TestLeastSquaresFormulation:
         cfg = SolverConfig()
         rep = solve(sys_ex2, cfg)
         assert rep.converged
-        G = residual(sys_ex2, rep.solution.v)
-        J = jacobian(sys_ex2, rep.solution.v)
+        G = residual(sys_ex2, rep.v)
+        J = jacobian(sys_ex2, rep.v)
         assert np.max(np.abs(J.T @ G)) <= 1e-9
 
     def test_adversarial_start_trust_region(self, sys_ex1):
         cfg = SolverConfig(method="trust_region", max_iters=500)
-        v0 = np.full(sys_ex1.ordering.size, 1.0e3)
-        rep = trust_region_solve(sys_ex1, v0, cfg)
+        v0 = np.full(sys_ex1.F.size, 1.0e3)
+        rep = solve(sys_ex1, cfg, v0)
         assert rep.converged
         base = solve(sys_ex1, SolverConfig())
-        np.testing.assert_allclose(rep.solution.v, base.solution.v, atol=1e-6)
+        np.testing.assert_allclose(rep.v, base.v, atol=1e-6)
+
+    def test_adversarial_start_newton(self, sys_ex1):
+        v0 = np.full(sys_ex1.F.size, 1.0e3)
+        rep = solve(sys_ex1, SolverConfig(), v0)
+        assert rep.converged
+        base = solve(sys_ex1, SolverConfig())
+        np.testing.assert_allclose(rep.v, base.v, atol=1e-6)
 
     def test_methods_agree_at_tight_optimality(self, sys_ex1):
         cfg_n = SolverConfig()
@@ -291,7 +307,7 @@ class TestLeastSquaresFormulation:
         rn = solve(sys_ex1, cfg_n)
         rt = solve(sys_ex1, cfg_t)
         assert rn.converged and rt.converged
-        np.testing.assert_allclose(rn.solution.v, rt.solution.v, atol=1e-9)
+        np.testing.assert_allclose(rn.v, rt.v, atol=1e-9)
 
 
 class TestDeterminism:
@@ -299,7 +315,7 @@ class TestDeterminism:
         cfg = SolverConfig()
         a = solve(sys_ex2, cfg)
         b = solve(sys_ex2, cfg)
-        np.testing.assert_array_equal(a.solution.v, b.solution.v)
+        np.testing.assert_array_equal(a.v, b.v)
         assert a.iterations == b.iterations
         assert a.final_residual == b.final_residual
 
