@@ -73,8 +73,10 @@ class SolverConfig:
     method: str = "newton"  # "newton" | "trust_region"
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
+        if not self.tol_residual > 0:  # also rejects nan
             raise ValueError("tol_residual must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters={self.max_iters} must be at least 1")
         if self.method not in ("newton", "trust_region"):
             raise ValueError(f"unknown method {self.method!r}")
 

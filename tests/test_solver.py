@@ -39,7 +39,10 @@ class TestSolverConfig:
         "kwargs",
         [
             {"tol_residual": 0.0},
+            {"tol_residual": -1e-3},
+            {"max_iters": 0},
             {"method": "bfgs"},
+            {"tol_residual": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
