@@ -97,12 +97,8 @@ def run(cfg: RunConfig) -> RunResult:
         aae = compute_aae(u, exact)
         max_err = float(np.max(np.abs(u - exact)))
     else:
-        if cfg.error_mesh == "uniform101":
-            xs = np.linspace(0.0, 1.0, 101)
-            ts = np.linspace(0.0, 1.0, 101)
-        else:
-            xs = np.linspace(0.0, 1.0, 101)
-            ts = np.array([float(cfg.error_mesh[6:])])
+        xs = np.linspace(0.0, 1.0, 101)
+        ts = xs if cfg.error_mesh == "uniform101" else np.array([float(cfg.error_mesh[6:])])
         U = evaluate_on_mesh(u, ns_x, ns_t, xs, ts)
         E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
         aae = compute_aae(U, E)
@@ -119,16 +115,14 @@ def sweep(template: RunConfig, alphas: list[float], sizes: list[int]) -> list[Ru
     """Cartesian sweep over alpha and n = m; failures are recorded per row."""
     if not alphas or not sizes:
         raise ValueError("sweep lists must be non-empty")
-    if any(s < 1 for s in sizes):
-        raise ValueError("sweep sizes must be >= 1 (differentiation needs n >= 1)")
+    # RunConfig validates every row before the first one runs
+    configs = [replace(template, alpha=a, n=s, m=s) for a in alphas for s in sizes]
     results: list[RunResult | Exception] = []
-    for a in alphas:
-        for s in sizes:
-            cfg = replace(template, alpha=a, n=s, m=s)
-            try:
-                results.append(run(cfg))
-            except Exception as exc:  # recorded per row, sweep continues
-                results.append(exc)
+    for cfg in configs:
+        try:
+            results.append(run(cfg))
+        except Exception as exc:  # recorded per row, sweep continues
+            results.append(exc)
     return results
 
 

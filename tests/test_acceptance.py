@@ -12,7 +12,7 @@ from fbbmb.assembly import assemble, compute_aae, jacobian, residual
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.cli import RunConfig, run
 from fbbmb.opmatrices import build_operator_bundle, build_rl_fsgim
-from fbbmb.oracles import rlfi_oracle
+from oracles import rlfi_oracle
 from fbbmb.problems import example1, example2
 from fbbmb.solver import SolverConfig, solve
 

@@ -124,9 +124,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(RunConfig(), [0.5], [])
 
-    def test_degenerate_size_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(RunConfig(), [0.5], [0])
+    def test_degenerate_size_rejected(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        for sizes in ([0], [4, 0]):
+            with pytest.raises(ValueError):
+                sweep(RunConfig(), [0.5], sizes)
+        assert calls == []  # rejected before any row runs
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,13 @@ import pytest
 from fbbmb.basis import BasisParams, ParameterDomainError, build_node_set
 from fbbmb.opmatrices import (
     DegenerateGridError,
-    build_c_fsgim,
     build_operator_bundle,
     build_rl_fsgim,
     build_sgdm,
     build_sgim,
     build_sgirv,
 )
-from fbbmb.oracles import caputo_power_rule, fd_derivative, rlfi_power_rule
+from oracles import caputo_power_rule, fd_derivative, rlfi_power_rule
 
 
 @pytest.fixture
@@ -74,6 +73,14 @@ class TestIntMatrix:
             g = ns8.nodes**k
             np.testing.assert_allclose(D @ (Q @ g), g, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [40, 48, 64])
+    def test_exact_for_top_degrees_on_large_grids(self, n):
+        ns = build_node_set(BasisParams(0.5, n))
+        Q = build_sgim(ns)
+        x = ns.nodes
+        for k in (n - 2, n - 1, n):
+            np.testing.assert_allclose(Q @ x**k, x ** (k + 1) / (k + 1), rtol=0, atol=1e-12)
+
 
 class TestIntRowVector:
     def test_constant(self, ns5):
@@ -88,6 +95,13 @@ class TestIntRowVector:
     def test_quintic(self, ns5):
         P = build_sgirv(ns5)
         assert P[0] @ ns5.nodes**5 == pytest.approx(1.0 / 6.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [40, 48, 64])
+    def test_exact_for_top_degrees_on_large_grids(self, n):
+        ns = build_node_set(BasisParams(0.5, n))
+        P = build_sgirv(ns)
+        for k in (n - 2, n - 1, n):
+            assert P[0] @ ns.nodes**k == pytest.approx(1.0 / (k + 1), abs=1e-12)
 
 
 class TestFracIntMatrix:
@@ -138,7 +152,7 @@ class TestFracIntMatrix:
         ]
         assert errs[0] > errs[1] > errs[2]
 
-    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("m", [40, 48])
     def test_exact_for_top_degrees_on_large_grids(self, m, beta):
         # the rule is sized from m, so the degree-m interpolant stays exact
@@ -149,37 +163,41 @@ class TestFracIntMatrix:
             np.testing.assert_allclose(B @ ns.nodes**k, expected, rtol=0, atol=1e-12)
 
 
+def caputo(ns, alpha):
+    return build_operator_bundle(ns, ns, alpha).caputo
+
+
 class TestCaputoMatrix:
     def test_alpha_out_of_range(self, ns5):
         with pytest.raises(ParameterDomainError):
-            build_c_fsgim(ns5, 1.5)
+            caputo(ns5, 1.5)
 
     def test_constant_annihilated(self, ns8):
-        A = build_c_fsgim(ns8, 0.5)
+        A = caputo(ns8, 0.5)
         np.testing.assert_allclose(A @ np.ones(9), 0.0, atol=1e-10)
 
     def test_half_order_fractional_power(self, ns8):
         # on t^1.5 data the matrix is exact for the Caputo of the interpolant
         # (checked at 1e-9 against the quadrature oracle in test_oracles); the
         # gap to the analytic power rule is pure interpolation aliasing
-        A = build_c_fsgim(ns8, 0.5)
+        A = caputo(ns8, 0.5)
         expected = math.gamma(2.5) / math.gamma(2.0) * ns8.nodes
         err8 = np.max(np.abs(A @ ns8.nodes**1.5 - expected))
         assert err8 < 1e-2
         ns32 = build_node_set(BasisParams(0.5, 32))
-        A32 = build_c_fsgim(ns32, 0.5)
+        A32 = caputo(ns32, 0.5)
         expected32 = math.gamma(2.5) / math.gamma(2.0) * ns32.nodes
         err32 = np.max(np.abs(A32 @ ns32.nodes**1.5 - expected32))
         assert err32 < err8 / 10
 
     def test_alpha_one_is_classical_derivative(self, ns8):
-        A = build_c_fsgim(ns8, 1.0)
+        A = caputo(ns8, 1.0)
         np.testing.assert_allclose(A @ ns8.nodes**2, 2 * ns8.nodes, atol=1e-11)
         np.testing.assert_allclose(A, build_sgdm(ns8))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_caputo_power_rule_sweep(self, ns8, alpha):
-        A = build_c_fsgim(ns8, alpha)
+        A = caputo(ns8, alpha)
         for k in range(1, 8):
             expected = np.array([caputo_power_rule(k, alpha, t) for t in ns8.nodes])
             np.testing.assert_allclose(A @ ns8.nodes**k, expected, atol=1e-8)
@@ -196,8 +214,3 @@ class TestOperatorBundle:
         assert ops.P_x.shape == (1, 6)
         assert ops.Q_t.shape == (9, 9)
         assert ops.caputo.shape == (9, 9)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
-    def test_caputo_bit_identical_to_builder(self, ns5, ns8, alpha):
-        ops = build_operator_bundle(ns5, ns8, alpha)
-        np.testing.assert_array_equal(ops.caputo, build_c_fsgim(ns8, alpha))

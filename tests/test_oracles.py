@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fbbmb.basis import BasisParams, build_node_set, interpolate
-from fbbmb.opmatrices import build_c_fsgim, build_sgdm
-from fbbmb.oracles import (
+from fbbmb.opmatrices import build_operator_bundle, build_sgdm
+from oracles import (
     OracleConfig,
     caputo_power_rule,
     fd_derivative,
@@ -103,7 +103,7 @@ class TestCaputoMatrixAgainstOracle:
         # t^1.5 data the quadrature oracle applied to the interpolant's
         # derivative must agree to near machine precision
         ns = build_node_set(BasisParams(0.5, 8))
-        A = build_c_fsgim(ns, 0.5)
+        A = build_operator_bundle(ns, ns, 0.5).caputo
         data = ns.nodes**1.5
         dp = build_sgdm(ns) @ data
         oracle = np.array(

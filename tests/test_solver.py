@@ -264,12 +264,15 @@ class TestAffinePath:
         return dataclasses.replace(sys_ex1, Q_t=np.zeros_like(sys_ex1.Q_t))
 
     def test_newton_one_iteration(self, sys_affine):
-        cfg = SolverConfig()
-        rep = solve(sys_affine, cfg, np.zeros(sys_affine.F.size))
+        # the first step already reaches the minimiser; the floor stop may
+        # then take one more step of roundoff size, depending on the rounding
+        v0 = np.zeros(sys_affine.F.size)
+        for cfg in (SolverConfig(max_iters=1), SolverConfig()):
+            rep = solve(sys_affine, cfg, v0)
+            G = residual(sys_affine, rep.v)
+            assert np.max(np.abs(vjp(sys_affine, rep.v, G))) <= 1e-9
         assert rep.converged
-        assert rep.iterations <= 1
-        G = residual(sys_affine, rep.v)
-        assert np.max(np.abs(vjp(sys_affine, rep.v, G))) <= 1e-9
+        assert rep.iterations <= 1 or (rep.iterations == 2 and rep.stop_reason == "floor")
 
     def test_trust_region_reaches_same_root(self, sys_affine):
         cfg_n = SolverConfig()
