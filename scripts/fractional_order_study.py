@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Robustness study across fractional orders: solve both examples for a list of
-alpha values at a fixed grid and report accuracy, boundary residual, and timing.
+alpha values at a fixed grid and report AAE, maximum error, solve time,
+iteration count and convergence per run.
 
 Usage: python3 scripts/fractional_order_study.py [--size 16] [--alphas 0.1,0.3,0.5,0.75,1.0]
        [--csv out.csv]

@@ -13,7 +13,7 @@ from .assembly import (
     residual,
     vjp,
 )
-from .basis import BasisParams, NodeSet, build_node_set, interpolate
+from .basis import BasisParams, NodeSet, build_node_set
 from .opmatrices import OperatorBundle, build_operator_bundle
 from .problems import get_problem, register_problems
 from .solver import SolverConfig, SolveReport, solve
@@ -22,7 +22,6 @@ __all__ = [
     "BasisParams",
     "NodeSet",
     "build_node_set",
-    "interpolate",
     "OperatorBundle",
     "build_operator_bundle",
     "ProblemSpec",

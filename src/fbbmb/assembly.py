@@ -30,12 +30,13 @@ class AssemblyError(ValueError):
 @dataclass(frozen=True)
 class ProblemSpec:
     """One initial-boundary value problem: fractional order, initial profile phi,
-    boundary traces psi1/psi2, source f(x, t), optional exact solution."""
+    boundary traces psi1/psi2, source f(x, t), optional exact solution. `assemble`
+    calls each on node arrays, and each may return an array or a constant."""
 
     alpha: float
-    phi: Callable[[float], float]
-    psi1: Callable[[float], float]
-    psi2: Callable[[float], float]
+    phi: Callable[[np.ndarray], np.ndarray]
+    psi1: Callable[[np.ndarray], np.ndarray]
+    psi2: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -73,24 +74,20 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     if abs(ops.alpha - spec.alpha) > 0:
         raise AssemblyError(f"bundle alpha={ops.alpha} != problem alpha={spec.alpha}")
     x, t = ops.ns_x.nodes, ops.ns_t.nodes
-    ones_t = np.ones(m + 1)
-    ones_x = np.ones(n + 1)
-
-    C = np.kron(ops.P_x, ops.Q_t)
-
-    phi_x = np.array([spec.phi(xi) for xi in x])
-    psi1_t = np.array([spec.psi1(tj) for tj in t])
-    psi2_t = np.array([spec.psi2(tj) for tj in t])
+    phi_x = np.full(n + 1, spec.phi(x), dtype=float)
+    psi1_t = np.full(m + 1, spec.psi1(t), dtype=float)
+    psi2_t = np.full(m + 1, spec.psi2(t), dtype=float)
+    f_grid = np.full((n + 1, m + 1), spec.f(x[:, None], t[None, :]), dtype=float)
     phi0, phi1 = spec.phi(0.0), spec.phi(1.0)
 
-    S = np.kron(phi_x - phi0, ones_t) + np.kron(ones_x, psi1_t)
-    phi_prime = np.kron(ops.D_x @ phi_x, ones_t)
-    f_grid = spec.f(x[:, None], t[None, :])
-    F = np.asarray(f_grid, dtype=float).reshape(-1) - np.kron(ones_x, ops.caputo @ psi1_t)
-    Rhat = psi2_t - psi1_t - (phi1 - phi0) * ones_t
+    S = (phi_x - phi0)[:, None] + psi1_t[None, :]
+    phi_prime = np.repeat(ops.D_x @ phi_x, m + 1)
+    F = f_grid - (ops.caputo @ psi1_t)[None, :]
+    Rhat = psi2_t - psi1_t - (phi1 - phi0)
+    C = np.kron(ops.P_x, ops.Q_t)
 
     return DiscreteSystem(ops.ns_x, ops.ns_t, ops.Q_x, ops.D_x, ops.rl_frac,
-                          ops.Q_t, S, phi_prime, F, C, Rhat)
+                          ops.Q_t, S.reshape(-1), phi_prime, F.reshape(-1), C, Rhat)
 
 
 def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:

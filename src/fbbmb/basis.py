@@ -20,10 +20,6 @@ class ParameterDomainError(ValueError):
     """Raised for Gegenbauer/fractional parameters outside their valid windows."""
 
 
-class EigenSolveError(RuntimeError):
-    """Raised when the Golub-Welsch tridiagonal eigensolve fails."""
-
-
 @dataclass(frozen=True)
 class BasisParams:
     """Gegenbauer index `lam` and grid degree `n` (node count n + 1)."""
@@ -96,34 +92,16 @@ def build_node_set(params: BasisParams) -> NodeSet:
     """SGG nodes/weights on [0, 1] by Golub-Welsch on the Jacobi matrix of the
     Gegenbauer recurrence, then the affine shift x -> (x + 1)/2."""
     alpha, beta = recurrence_coefficients(params)
-    n, lam = params.n, params.lam
-    if n == 0:
-        nodes = np.array([0.5])
-        weights = np.array([beta[0] * 2.0 ** (-2.0 * lam)])
-        return NodeSet(params, nodes, weights, np.array([1.0]))
-    try:
-        eigvals, eigvecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenSolveError(f"Golub-Welsch eigensolve failed for {params}: {exc}") from exc
+    eigvals, eigvecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
     nodes = (eigvals + 1.0) / 2.0
     # dx-hat = dx/2 and (x-hat(1-x-hat))^(lam-1/2) = ((1-x^2)/4)^(lam-1/2)
-    weights = beta[0] * eigvecs[0, :] ** 2 * 2.0 ** (-2.0 * lam)
+    weights = beta[0] * eigvecs[0, :] ** 2 * 2.0 ** (-2.0 * params.lam)
     return NodeSet(params, nodes, weights, barycentric_weights(nodes))
 
 
-def interpolate(ns: NodeSet, values: np.ndarray, x: float) -> float:
-    """Evaluate the barycentric Lagrange interpolant of nodal `values` at `x`.
-    Exact node hits return the stored value without division."""
-    dx = x - ns.nodes
-    hit = np.nonzero(dx == 0.0)[0]
-    if hit.size:
-        return float(values[hit[0]])
-    ratios = ns.bary_weights / dx
-    return float(ratios @ values / ratios.sum())
-
-
 def cardinal_matrix(ns: NodeSet, xs: np.ndarray) -> np.ndarray:
-    """Matrix L with L[p, j] = L_j(xs[p]) for the Lagrange cardinal functions of `ns`.
+    """Matrix L with L[p, j] = L_j(xs[p]) for the Lagrange cardinal functions of `ns`,
+    by the barycentric formula; the interpolant of nodal `values` at xs is L @ values.
 
     Rows at exact node hits are unit vectors; all rows sum to 1.
     """

@@ -38,10 +38,10 @@ class RunConfig:
     lam: float = 0.5
     solver: SolverConfig = field(default_factory=SolverConfig)
     error_mesh: str = "collocation"  # "collocation" | "uniform101" | "slice=<t>"
-    output: str = "table"  # "table" | "csv" | "json"
-    output_path: Optional[str] = None
 
     def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:  # also rejects nan
+            raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
         BasisParams(self.lam, 1)  # window validation only
@@ -51,8 +51,6 @@ class RunConfig:
             ts = float(self.error_mesh[6:])
             if not 0.0 <= ts <= 1.0:
                 raise ValueError(f"slice time {ts} outside [0, 1]")
-        if self.output not in ("table", "csv", "json"):
-            raise ValueError(f"unknown output format {self.output!r}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         cfg = RunConfig(
             problem=args.problem, alpha=args.alpha, n=args.n, m=args.m,
-            lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh, output=args.fmt,
-            output_path=args.out,
+            lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh,
         )
         if args.sweep_alpha or args.sweep_size:
             alphas = [float(a) for a in (args.sweep_alpha or str(args.alpha)).split(",")]
@@ -228,10 +225,10 @@ def main(argv: list[str] | None = None) -> int:
     for exc in failures:
         print(f"error: run failed: {exc}", file=sys.stderr)
 
-    fmt = {"table": format_table, "csv": format_csv, "json": format_json}[cfg.output]
+    fmt = {"table": format_table, "csv": format_csv, "json": format_json}[args.fmt]
     text = fmt(results)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         print(text)

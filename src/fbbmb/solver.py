@@ -40,10 +40,11 @@ gelsy), and the report warns if J has lost rank.
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the computed
-residual, Higham ch. 3), no further iteration can be told from roundoff. The
-loop then takes the full step unless it raises the merit, and stops converged
-with stop_reason "floor". The floor scales with ||Psi|| and ||v||; an absolute
-bound on ||J^T G|| would not, since ||J|| grows like n^2.
+residual, Higham ch. 3, with ||Psi||_inf bounded through its Kronecker factors),
+no further iteration can be told from roundoff. The loop then takes the full
+step unless it raises the merit, and stops converged with stop_reason "floor".
+The floor scales with ||Psi|| and ||v||; an absolute bound on ||J^T G|| would
+not, since ||J|| grows like n^2.
 """
 
 from __future__ import annotations
@@ -138,16 +139,12 @@ def _min_norm_step(J, G, warns, k):
 
 
 def _floor_scale(sys: DiscreteSystem) -> tuple[float, float]:
-    """(||Psi||_inf, ||F||_inf), the first from the factors of
-    Psi = Q_x (x) rl_frac - D_x (x) I: row (i, j) holds Q_x[i,p] rl_frac[j,q],
-    less D_x[i,p] where q = j, so its absolute sum splits into the q != j part,
-    sum_p |Q_x[i,p]| * sum_{q != j} |rl_frac[j,q]|, and the q = j part."""
-    rl_diag = np.diag(sys.rl_frac)
-    off_diag = np.abs(sys.rl_frac - np.diag(rl_diag)).sum(axis=1)  # [j]
-    on_diag = np.abs(sys.Q_x[:, None, :] * rl_diag[None, :, None]
-                     - sys.D_x[:, None, :]).sum(axis=2)  # [i, j]
-    rows = np.abs(sys.Q_x).sum(axis=1)[:, None] * off_diag[None, :] + on_diag
-    return float(rows.max()), float(np.max(np.abs(sys.F)))
+    """(an upper bound on ||Psi||_inf, ||F||_inf). As ||A (x) B||_inf =
+    ||A||_inf ||B||_inf, ||Q_x (x) rl_frac - D_x (x) I||_inf is at most
+    ||Q_x||_inf ||rl_frac||_inf + ||D_x||_inf."""
+    psi_bound = (np.linalg.norm(sys.Q_x, np.inf) * np.linalg.norm(sys.rl_frac, np.inf)
+                 + np.linalg.norm(sys.D_x, np.inf))
+    return float(psi_bound), float(np.max(np.abs(sys.F)))
 
 
 def _at_floor(sys, v, G, step, scale):

@@ -18,7 +18,6 @@ class OracleError(RuntimeError):
 class OracleConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_subdivisions: int = 10**6
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -30,14 +29,9 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma(x: float) -> float:
-    return math.gamma(x)
-
-
 def _quad(func, a, b, cfg: OracleConfig, **kwargs) -> tuple[float, float]:
-    limit = min(cfg.max_subdivisions, 1000)
     val, err, info, *tail = quad(
-        func, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=limit,
+        func, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=1000,
         full_output=True, **kwargs
     )
     if tail:

@@ -57,6 +57,17 @@ def dense_reference(sys, v):
     return G, J, sys.S + Q_tx @ v
 
 
+def other_form(g):
+    # a constant result becomes the array it broadcasts to and a constant-valued
+    # array becomes its constant; a varying array stays as it is
+    def h(s):
+        y = g(s)
+        if np.ndim(y) == 0:
+            return np.full(np.shape(s), y)
+        return y.flat[0] if np.all(y == y.flat[0]) else y
+    return h
+
+
 class TestGridOrdering:
     def test_kron_matches_matrix_sandwich(self):
         # (A (x) B) vec(G) == vec(A G B^T) in the space-major ordering
@@ -141,6 +152,17 @@ class TestAssemble:
         N = sys.F.size
         arrays = [getattr(sys, f.name) for f in dataclasses.fields(sys)]
         assert max(a.size for a in arrays if isinstance(a, np.ndarray)) < N * N
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @pytest.mark.parametrize("n, m", [(3, 7), (9, 4)])
+    def test_constant_and_array_data_agree(self, name, n, m):
+        # phi, psi1 and psi2 may return a constant or an array of the node shape
+        spec = REGISTRY[name](0.5)
+        other = dataclasses.replace(spec, phi=other_form(spec.phi),
+                                    psi1=other_form(spec.psi1), psi2=other_form(spec.psi2))
+        a, b = make_system(spec, n, m), make_system(other, n, m)
+        for field in ("S", "phi_prime", "F", "Rhat"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_alpha_mismatch_rejected(self):
         spec = example1(0.5)

@@ -9,7 +9,6 @@ from fbbmb.basis import (
     ParameterDomainError,
     build_node_set,
     cardinal_matrix,
-    interpolate,
     recurrence_coefficients,
 )
 
@@ -61,6 +60,16 @@ class TestNodeSet:
     def test_single_node_at_half(self):
         ns = build_node_set(BasisParams(0.5, 0))
         assert ns.nodes[0] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_single_node_exact(self, lam):
+        # the 1 x 1 Jacobi matrix [0] has eigenvalue 0 and eigenvector [1]
+        params = BasisParams(lam, 0)
+        ns = build_node_set(params)
+        _, beta = recurrence_coefficients(params)
+        np.testing.assert_array_equal(ns.nodes, [0.5])
+        np.testing.assert_array_equal(ns.quad_weights, [beta[0] * 2.0 ** (-2.0 * lam)])
+        np.testing.assert_array_equal(ns.bary_weights, [1.0])
 
     def test_two_point_legendre_nodes(self):
         ns = build_node_set(BasisParams(0.5, 1))
@@ -114,6 +123,11 @@ def brute_force_lagrange(nodes, values, x):
                 term *= (x - nodes[k]) / (nodes[j] - nodes[k])
         total += term
     return total
+
+
+def interpolate(ns, values, x):
+    # the barycentric interpolant of nodal values at one point
+    return cardinal_matrix(ns, [x])[0] @ values
 
 
 class TestInterpolate:

@@ -60,7 +60,9 @@ class TestRunConfigValidation:
             {"lam": -0.6},
             {"error_mesh": "random"},
             {"error_mesh": "slice=1.5"},
-            {"output": "xml"},
+            {"alpha": 1.5},
+            {"alpha": 0.0},
+            {"alpha": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -205,12 +207,20 @@ class TestMain:
 
     def test_invalid_flag_value(self, capsys):
         assert main(["--solver", "bfgs"]) == EXIT_INVALID_CONFIG
+        assert main(["--format", "xml"]) == EXIT_INVALID_CONFIG
 
     def test_invalid_mesh(self, capsys):
         assert main(["--error-mesh", "bogus"]) == EXIT_INVALID_CONFIG
 
     def test_degenerate_sweep(self, capsys):
         assert main(["--sweep-size", "0"]) == EXIT_INVALID_CONFIG
+
+    def test_bad_sweep_alpha_runs_no_row(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        code = main(["--problem", "example2", "--n", "4", "--m", "4", "--sweep-alpha", "0.5,1.5"])
+        assert code == EXIT_INVALID_CONFIG
+        assert calls == []
 
     def test_nonconvergence_exit_code(self, capsys):
         code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1"])

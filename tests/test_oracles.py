@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fbbmb.basis import BasisParams, build_node_set, interpolate
+from fbbmb.basis import BasisParams, build_node_set, cardinal_matrix
 from fbbmb.opmatrices import build_operator_bundle, build_sgdm
 from oracles import (
     OracleConfig,
@@ -107,6 +107,6 @@ class TestCaputoMatrixAgainstOracle:
         data = ns.nodes**1.5
         dp = build_sgdm(ns) @ data
         oracle = np.array(
-            [rlfi_oracle(lambda t: interpolate(ns, dp, t), 0.5, tj) for tj in ns.nodes]
+            [rlfi_oracle(lambda t: cardinal_matrix(ns, [t])[0] @ dp, 0.5, tj) for tj in ns.nodes]
         )
         np.testing.assert_allclose(A @ data, oracle, atol=1e-9)
