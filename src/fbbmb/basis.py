@@ -6,8 +6,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln
+from scipy.special import roots_gegenbauer
 
 LAMBDA_MIN = -0.5 + 1e-3
 LAMBDA_MAX = 2.0
@@ -57,26 +56,6 @@ class NodeSet:
         return self.params.n
 
 
-def recurrence_coefficients(params: BasisParams) -> tuple[np.ndarray, np.ndarray]:
-    """Three-term recurrence coefficients of the monic Gegenbauer family on [-1, 1]
-    with weight (1 - x^2)^(lam - 1/2).
-
-    Returns (alpha_k, beta_k), k = 0..n, for
-    p_{k+1}(x) = (x - alpha_k) p_k(x) - beta_k p_{k-1}(x), with beta_0 set to the
-    weight's total mass. The alpha_k vanish by the symmetry of the weight.
-    """
-    lam, n = params.lam, params.n
-    a = lam - 0.5  # Jacobi exponent, weight (1-x)^a (1+x)^a
-    alpha = np.zeros(n + 1)
-    beta = np.zeros(n + 1)
-    beta[0] = np.exp((2.0 * a + 1.0) * np.log(2.0) + betaln(a + 1.0, a + 1.0))
-    if n >= 1:
-        beta[1] = 1.0 / (2.0 * lam + 2.0)
-    k = np.arange(2, n + 1, dtype=float)
-    beta[2:] = k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0))
-    return alpha, beta
-
-
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Barycentric weights for distinct nodes, log-scaled against overflow and
     normalized so max|w| = 1."""
@@ -89,13 +68,12 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def build_node_set(params: BasisParams) -> NodeSet:
-    """SGG nodes/weights on [0, 1] by Golub-Welsch on the Jacobi matrix of the
-    Gegenbauer recurrence, then the affine shift x -> (x + 1)/2."""
-    alpha, beta = recurrence_coefficients(params)
-    eigvals, eigvecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
-    nodes = (eigvals + 1.0) / 2.0
+    """SGG nodes/weights on [0, 1]: scipy's Gauss-Gegenbauer rule on [-1, 1], then
+    the affine shift x -> (x + 1)/2."""
+    x, w = roots_gegenbauer(params.n + 1, params.lam)
+    nodes = (x + 1.0) / 2.0
     # dx-hat = dx/2 and (x-hat(1-x-hat))^(lam-1/2) = ((1-x^2)/4)^(lam-1/2)
-    weights = beta[0] * eigvecs[0, :] ** 2 * 2.0 ** (-2.0 * params.lam)
+    weights = w * 2.0 ** (-2.0 * params.lam)
     return NodeSet(params, nodes, weights, barycentric_weights(nodes))
 
 

@@ -1,5 +1,6 @@
 """Independent brute-force references used by the test suite: adaptive quadrature
-of the fractional kernel, analytic power rules, finite differences."""
+of the fractional kernel, analytic power rules, finite differences, and the
+hand-derived source terms of the two paper examples."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -88,3 +90,21 @@ def rlfi_power_rule(k: float, beta: float, t: float) -> float:
 def fd_derivative(g: Callable[[float], float], x: float, h: float) -> float:
     """Central difference (g(x+h) - g(x-h)) / 2h."""
     return (g(x + h) - g(x - h)) / (2.0 * h)
+
+
+def example1_source(x, t, alpha: float):
+    """f for u = x^4 (x - 1) t^1.5, expanded by hand."""
+    caputo = (3.0 * math.sqrt(math.pi) * x**4 * (x - 1.0) * t ** (1.5 - alpha)
+              / (4.0 * math.gamma(2.5 - alpha)))
+    rest = x**2 * np.sqrt(t) * (
+        5.0 * x**7 * t**2.5 - 9.0 * x**6 * t**2.5 + 4.0 * x**5 * t**2.5
+        + 5.0 * x**2 * t - 4.0 * x * t - 30.0 * x + 18.0
+    )
+    return caputo + rest
+
+
+def example2_source(x, t, alpha: float):
+    """f for u = t^2 e^x, expanded by hand; u u_x = t^4 e^(2x)."""
+    ex = np.exp(x)
+    return (2.0 * ex * t ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+            + t**4 * ex**2 + t**2 * ex - 2.0 * t * ex)

@@ -19,6 +19,7 @@ from fbbmb.assembly import (
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import REGISTRY, example1, example2, manufactured_poly
+from oracles import example1_source, example2_source
 
 
 def make_system(spec, n, m, **bundle_kwargs):
@@ -95,6 +96,38 @@ class TestProblemSpec:
                 f=lambda x, t: x * t,
                 exact=lambda x, t: x * t,
             )
+
+
+# hand-derived forms of the paper examples, the references for the separable
+# factory: (f, phi, psi1, psi2, exact)
+HAND_DERIVED = {
+    "example1": (example1_source, lambda x: 0.0, lambda t: 0.0, lambda t: 0.0,
+                 lambda x, t: x**4 * (x - 1.0) * t**1.5),
+    "example2": (example2_source, lambda x: 0.0, lambda t: t**2, lambda t: np.e * t**2,
+                 lambda x, t: t**2 * np.exp(x)),
+}
+
+
+class TestRegisteredProblems:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("name", sorted(HAND_DERIVED))
+    def test_separable_factory_matches_hand_derived_forms(self, name, alpha):
+        f, phi, psi1, psi2, exact = HAND_DERIVED[name]
+        spec = REGISTRY[name](alpha)
+        s = np.linspace(0.0, 1.0, 41)
+        x, t = s[:, None], s[None, :]
+        ref = f(x, t, alpha)
+        assert np.max(np.abs(spec.f(x, t) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(spec.exact(x, t), exact(x, t))
+        # traces broadcast over the nodes as `assemble` does
+        for got, want in ((spec.phi, phi), (spec.psi1, psi1), (spec.psi2, psi2)):
+            np.testing.assert_array_equal(np.full(s.size, got(s)), np.full(s.size, want(s)))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.75, 1.0])
+    def test_trig_boundary_traces_vanish_exactly(self, alpha):
+        spec = REGISTRY["manufactured:trig"](alpha)
+        t = np.append(build_node_set(BasisParams(0.5, 40)).nodes, 1.0)
+        assert np.all(spec.psi1(t) == 0.0) and np.all(spec.psi2(t) == 0.0)
 
 
 class TestAssemble:

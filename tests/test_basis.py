@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,33 @@ from fbbmb.basis import (
     ParameterDomainError,
     build_node_set,
     cardinal_matrix,
-    recurrence_coefficients,
 )
 
-LAMBDAS = [0.1, 0.5, 1.0, 1.5]
+# lambda = 0 is scipy's Chebyshev branch of the Gauss-Gegenbauer rule
+LAMBDAS = [0.1, 0.5, 1.0, 1.5, 0.0]
 
 
 def shifted_moment(k, lam):
     # int_0^1 x^k (x(1-x))^(lam-1/2) dx
     return beta_fn(k + lam + 0.5, lam + 0.5)
+
+
+def gegenbauer_roots_mp(k, lam, guesses, dps=30, steps=3):
+    """Roots of C_k^(lam) on [-1, 1] by Newton from double-precision `guesses` in
+    `dps` digits; C_k and C_k' come from the three-term recurrence."""
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(lam)
+        roots = []
+        for x in map(mpmath.mpf, guesses):
+            for _ in range(steps):
+                c_prev, c, dc_prev, dc = 1, 2 * lam * x, 0, 2 * lam
+                for j in range(1, k):
+                    a, b = 2 * (j + lam) / (j + 1), (j + 2 * lam - 1) / (j + 1)
+                    c_prev, c, dc_prev, dc = (c, a * x * c - b * c_prev,
+                                              dc, a * (c + x * dc) - b * dc_prev)
+                x -= c / dc
+            roots.append(x)
+        return roots
 
 
 class TestBasisParams:
@@ -38,24 +57,6 @@ class TestBasisParams:
             BasisParams(-0.14, 3)
 
 
-class TestRecurrence:
-    def test_alpha_all_zero(self):
-        for lam in LAMBDAS:
-            alpha, _ = recurrence_coefficients(BasisParams(lam, 8))
-            assert np.all(alpha == 0.0)
-
-    def test_legendre_beta1(self):
-        # closed form beta_k = k^2/(4k^2 - 1) for lambda = 1/2
-        _, beta = recurrence_coefficients(BasisParams(0.5, 5))
-        ks = np.arange(1, 6, dtype=float)
-        np.testing.assert_allclose(beta[1:], ks**2 / (4 * ks**2 - 1), rtol=1e-15)
-        assert beta[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-    def test_chebyshev_second_kind_beta(self):
-        _, beta = recurrence_coefficients(BasisParams(1.0, 6))
-        np.testing.assert_allclose(beta[1:], 0.25, rtol=1e-15)
-
-
 class TestNodeSet:
     def test_single_node_at_half(self):
         ns = build_node_set(BasisParams(0.5, 0))
@@ -63,13 +64,18 @@ class TestNodeSet:
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_single_node_exact(self, lam):
-        # the 1 x 1 Jacobi matrix [0] has eigenvalue 0 and eigenvector [1]
-        params = BasisParams(lam, 0)
-        ns = build_node_set(params)
-        _, beta = recurrence_coefficients(params)
+        # the one-point rule sits at the midpoint and carries the whole mass
+        ns = build_node_set(BasisParams(lam, 0))
         np.testing.assert_array_equal(ns.nodes, [0.5])
-        np.testing.assert_array_equal(ns.quad_weights, [beta[0] * 2.0 ** (-2.0 * lam)])
+        np.testing.assert_allclose(ns.quad_weights, [shifted_moment(0, lam)], rtol=1e-15)
         np.testing.assert_array_equal(ns.bary_weights, [1.0])
+
+    @pytest.mark.parametrize("lam", [-0.4, 0.5, 2.0])
+    def test_nodes_match_high_precision_roots(self, lam):
+        n = 40
+        ns = build_node_set(BasisParams(lam, n))
+        ref = [float((x + 1) / 2) for x in gegenbauer_roots_mp(n + 1, lam, ns.nodes * 2 - 1)]
+        assert np.max(np.abs(ns.nodes - ref)) <= 2.3e-16
 
     def test_two_point_legendre_nodes(self):
         ns = build_node_set(BasisParams(0.5, 1))
