@@ -1,9 +1,13 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import fbbmb.cli as cli
 from fbbmb.assembly import assemble, evaluate_on_mesh
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.cli import (
@@ -15,13 +19,50 @@ from fbbmb.cli import (
     format_json,
     format_table,
     main,
-    parse_run_result_csv,
     run,
     sweep,
 )
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import get_problem, register_problems
-from fbbmb.solver import SolverConfig, solve
+from fbbmb.solver import SolveReport, SolverConfig, solve
+
+
+def parse_run_result_csv(text: str) -> list[dict]:
+    """Round-trip reader for the CSV emitted by format_csv."""
+    rows = []
+    for raw in csv.DictReader(io.StringIO(text)):
+        rows.append({
+            "problem": raw["problem"],
+            "alpha": float(raw["alpha"]), "n": int(raw["n"]), "m": int(raw["m"]),
+            "lambda": float(raw["lambda"]),
+            "aae": float(raw["aae"]), "max_err": float(raw["max_err"]),
+            "et_seconds": float(raw["et_seconds"]),
+            "precompute_seconds": float(raw["precompute_seconds"]),
+            "iterations": int(raw["iterations"]),
+            "converged": raw["converged"] == "True",
+        })
+    return rows
+
+
+def cold_system(cfg):
+    ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
+    ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
+    return assemble(get_problem(cfg.problem, cfg.alpha), build_operator_bundle(ns_x, ns_t, cfg.alpha))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The report of every solve `run` makes, in call order; the fine solve is
+    the last."""
+    calls = []
+
+    def recording(sys_d, solver_cfg, v0=None):
+        report = solve(sys_d, solver_cfg, v0)
+        calls.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "solve", recording)
+    return calls
 
 
 class TestProblemRegistry:
@@ -110,6 +151,73 @@ class TestRun:
             for j, t in enumerate(ts)
         ]
         assert np.array_equal(np.array(res.grid).view(np.int64), np.array(rows).view(np.int64))
+
+
+class TestCascade:
+    @pytest.mark.parametrize("problem, n, m, method", [
+        ("example1", 32, 32, "newton"),
+        ("example1", 32, 32, "trust_region"),
+        ("example2", 32, 32, "newton"),
+        ("example2", 32, 32, "trust_region"),
+        ("example2", 48, 32, "newton"),
+    ])
+    def test_agrees_with_cold_solve(self, solves, problem, n, m, method):
+        cfg = RunConfig(problem=problem, alpha=0.5, n=n, m=m, solver=SolverConfig(method=method))
+        res = run(cfg)
+        assert len(solves) == 2  # one coarse level, then the fine grid
+        fine = solves[-1]
+        cold = solve(cold_system(cfg), cfg.solver)
+        assert res.converged == fine.converged == cold.converged
+        assert np.max(np.abs(fine.u - cold.u)) <= 1e-12
+        assert res.iterations == fine.iterations <= cold.iterations
+
+    @pytest.mark.parametrize("n, m, degrees", [
+        (64, 64, [64, 64, 32, 32, 16, 16]),
+        (48, 32, [48, 32, 24, 16]),
+        (24, 24, [24, 24]),  # 12 < MIN_COARSE: cold
+        (31, 100, [31, 100]),  # the smaller axis decides
+    ])
+    def test_halving_schedule(self, monkeypatch, n, m, degrees):
+        built = []
+
+        def recording(params):
+            built.append(params.n)
+            return build_node_set(params)
+
+        def converged_zero(sys_d, solver_cfg, v0=None):
+            v = np.zeros(sys_d.F.size)
+            return SolveReport(v, v, 0, 0.0, 0.0, "residual")
+
+        monkeypatch.setattr(cli, "build_node_set", recording)
+        monkeypatch.setattr(cli, "solve", converged_zero)
+        run(RunConfig(problem="example2", n=n, m=m))
+        assert built == degrees
+
+    def test_unconverged_coarse_solve_falls_back_to_cold_start(self, monkeypatch):
+        cfg = RunConfig(problem="example2", alpha=0.5, n=32, m=32)
+        fine = []
+
+        def coarse_fails(sys_d, solver_cfg, v0=None):
+            report = solve(sys_d, solver_cfg, v0)
+            if sys_d.ns_x.n < cfg.n:
+                return dataclasses.replace(report, stop_reason="max_iters")
+            fine.append((v0, report))
+            return report
+
+        monkeypatch.setattr(cli, "solve", coarse_fails)
+        res = run(cfg)
+        v0, report = fine[0]
+        cold = solve(cold_system(cfg), cfg.solver)
+        assert v0 is None
+        assert np.array_equal(report.u, cold.u)
+        assert res.iterations == cold.iterations
+
+    def test_reports_fine_iterations_and_total_time(self, solves):
+        res = run(RunConfig(problem="example2", alpha=0.5, n=32, m=32))
+        assert res.converged
+        assert res.iterations == 1
+        # et_seconds covers the coarse solve as well as the fine one
+        assert res.et_seconds >= sum(report.wall_time for report in solves)
 
 
 class TestSweep:
