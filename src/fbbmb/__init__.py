@@ -15,7 +15,7 @@ from .assembly import (
 )
 from .basis import BasisParams, NodeSet, build_node_set
 from .opmatrices import OperatorBundle, build_operator_bundle
-from .problems import get_problem, register_problems
+from .problems import REGISTRY, get_problem
 from .solver import SolverConfig, SolveReport, solve
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "SolveReport",
     "solve",
     "get_problem",
-    "register_problems",
+    "REGISTRY",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Shifted Gegenbauer-Gauss node sets on [0, 1] with quadrature and barycentric weights."""
+"""Shifted Gegenbauer-Gauss node sets on [0, 1] with barycentric weights."""
 
 from __future__ import annotations
 
@@ -43,12 +43,11 @@ class BasisParams:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """SGG nodes in (0, 1) with quadrature weights for w(x) = (x(1-x))^(lam-1/2)
-    and normalized barycentric weights."""
+    """SGG nodes in (0, 1), the Gauss nodes of w(x) = (x(1-x))^(lam-1/2), with
+    normalized barycentric weights."""
 
     params: BasisParams
     nodes: np.ndarray
-    quad_weights: np.ndarray
     bary_weights: np.ndarray
 
     @property
@@ -68,13 +67,11 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def build_node_set(params: BasisParams) -> NodeSet:
-    """SGG nodes/weights on [0, 1]: scipy's Gauss-Gegenbauer rule on [-1, 1], then
-    the affine shift x -> (x + 1)/2."""
-    x, w = roots_gegenbauer(params.n + 1, params.lam)
+    """SGG nodes on [0, 1]: the nodes of scipy's Gauss-Gegenbauer rule on [-1, 1]
+    under the affine shift x -> (x + 1)/2."""
+    x, _ = roots_gegenbauer(params.n + 1, params.lam)
     nodes = (x + 1.0) / 2.0
-    # dx-hat = dx/2 and (x-hat(1-x-hat))^(lam-1/2) = ((1-x^2)/4)^(lam-1/2)
-    weights = w * 2.0 ** (-2.0 * params.lam)
-    return NodeSet(params, nodes, weights, barycentric_weights(nodes))
+    return NodeSet(params, nodes, barycentric_weights(nodes))
 
 
 def cardinal_matrix(ns: NodeSet, xs: np.ndarray) -> np.ndarray:

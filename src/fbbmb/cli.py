@@ -23,13 +23,13 @@ import numpy as np
 from .assembly import assemble, compute_aae, evaluate_on_mesh
 from .basis import BasisParams, ParameterDomainError, build_node_set, cardinal_matrix
 from .opmatrices import build_operator_bundle
-from .problems import get_problem, register_problems
+from .problems import REGISTRY, get_problem
 from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_CONFIG = 3
-MIN_COARSE = 16  # smallest grid degree a coarse level of the cascade solves on
+MIN_COARSE = 8  # smallest grid degree a coarse level of the cascade solves on
 
 CSV_COLUMNS = [
     "problem", "alpha", "n", "m", "lambda", "aae", "max_err", "et_seconds",
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fbbmb",
         description="Spectral solver for the time-fractional BBM-Burgers equation",
     )
-    p.add_argument("--problem", default="example1", choices=sorted(register_problems()))
+    p.add_argument("--problem", default="example1", choices=sorted(REGISTRY))
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--m", type=int, default=7)

@@ -97,17 +97,13 @@ def manufactured_trig(alpha: float) -> ProblemSpec:
     )
 
 
+# problem name -> factory(alpha)
 REGISTRY: dict[str, Callable[[float], ProblemSpec]] = {
     "example1": example1,
     "example2": example2,
     "manufactured:poly": manufactured_poly,
     "manufactured:trig": manufactured_trig,
 }
-
-
-def register_problems() -> dict[str, Callable[[float], ProblemSpec]]:
-    """Problem-name -> factory(alpha) mapping."""
-    return dict(REGISTRY)
 
 
 def get_problem(name: str, alpha: float) -> ProblemSpec:

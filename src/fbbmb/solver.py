@@ -22,10 +22,12 @@ tried first and the dogleg takes Newton's iterations where those steps succeed.
 
 The dense Jacobian [J(v); C] exists only inside a linear step: `newton_step`
 builds it, LAPACK getrf overwrites it with its LU factors, and it is dropped
-when the step returns. Everything else the loop needs of J (J^T G for the
-dogleg's gradient, J p for predicted decreases) comes from the matrix-free
-products `jvp` and `vjp`, so no Jacobian is held between steps or built after
-the last one.
+when the step returns. It is the only O(N^2) array a step holds: the
+condition estimate and the triangular solves read U and L1 where getrf left
+them, as the top N rows of that (N+m+1) x N buffer. Everything else the loop
+needs of J (J^T G for the dogleg's gradient, J p for predicted decreases)
+comes from the matrix-free products `jvp` and `vjp`, so no Jacobian is held
+between steps or built after the last one.
 
 Each Gauss-Newton step is a rectangular-LU least-squares solve (Peters &
 Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
@@ -33,7 +35,7 @@ P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
 min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
 so it is solved through its (m+1) x (m+1) normal equations. Back-substitution
 through L1 and U gives the step. When LU cannot give a reliable step (an exact
-zero pivot, or a trcon estimate of rcond(U) below eps * rows), J is built again
+zero pivot, or a dtrcon estimate of rcond(U) below eps * rows), J is built again
 and the step is the minimum-norm solution by QR with column pivoting (LAPACK
 gelsy), and the report warns if J has lost rank.
 
@@ -49,11 +51,12 @@ not, since ||J|| grows like n^2.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lstsq
+from scipy.linalg import cython_lapack, get_lapack_funcs, lstsq
 from scipy.linalg import solve as dense_solve
 
 from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, vjp
@@ -64,7 +67,41 @@ TOL_STEP = 1e-14  # stop, not converged, once a step's largest entry is this sma
 MIN_TRUST_RADIUS = 1e-12  # the dogleg gives up below this radius
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
-_getrf, _trtrs, _trcon, _laswp = get_lapack_funcs(("getrf", "trtrs", "trcon", "laswp"), dtype=float)
+_getrf, _trtrs, _laswp = get_lapack_funcs(("getrf", "trtrs", "laswp"), dtype=float)
+
+
+def _cython_lapack(name, *argtypes):
+    """LAPACK's `name` as scipy.linalg.cython_lapack exports it, as a ctypes
+    function of the given argument types that returns nothing."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# dtrcon(norm, uplo, diag, n, a, lda, rcond, work, iwork, info)
+_dtrcon = _cython_lapack(
+    "dtrcon", ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P, ctypes.c_void_p,
+    _INT_P, ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_void_p, _INT_P)
+
+
+def _trcon(lu: np.ndarray, n: int) -> tuple[float, int]:
+    """(rcond, info) of the upper triangle of the top n rows of the
+    Fortran-ordered `lu`, read in place: LAPACK dtrcon in the 1-norm with
+    leading dimension lu.shape[0]. (scipy's f2py trcon takes no leading
+    dimension, and handed an M x n array it estimates the wrong matrix.)"""
+    if not (lu.ndim == 2 and lu.flags.f_contiguous and lu.dtype == np.float64
+            and 0 <= n <= min(lu.shape)):
+        raise ValueError("_trcon needs a Fortran-ordered float64 array of at least n x n")
+    order, lda = ctypes.c_int(n), ctypes.c_int(lu.shape[0])
+    rcond, info = ctypes.c_double(), ctypes.c_int()
+    work, iwork = np.empty(3 * n), np.empty(n, dtype=np.intc)
+    _dtrcon(b"1", b"U", b"N", ctypes.byref(order), lu.ctypes.data, ctypes.byref(lda),
+            ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
+    return rcond.value, info.value
 
 
 @dataclass(frozen=True)
@@ -109,21 +146,23 @@ class SolveReport:
 def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[str],
                 k: int) -> np.ndarray:
     """min ||J p + G|| for the Jacobian J at v by rectangular LU (see the module
-    docstring). J is built here and factored in place."""
+    docstring). J is built here and factored in place, and every later use reads
+    the factors from that one buffer."""
     J = jacobian(sys, v)
     M, N = J.shape
+    # the top N rows of lu hold the unit L1 below the diagonal and U on and
+    # above it; trtrs reads that N x N block in place (its lda is M)
     lu, piv, info = _getrf(J, overwrite_a=1)
-    top = np.asfortranarray(lu[:N])  # unit L1 below the diagonal, U on and above
-    if info > 0 or _trcon(top)[0] < EPS * M:
-        del J, lu, top  # the factors overwrote J; the handler needs J itself
+    if info > 0 or _trcon(lu, N)[0] < EPS * M:
+        del J, lu  # the factors overwrote J; the handler needs J itself
         return _min_norm_step(jacobian(sys, v), G, warns, k)
-    Bt, _ = _trtrs(top, lu[N:].T, lower=1, trans=1, unitdiag=1)
+    Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
     c = _laswp(-G, piv)
     c1, c2 = c[:N], c[N:]
     s = dense_solve(Bt.T @ Bt + np.eye(M - N), Bt.T @ c1 - c2,
                     assume_a="pos", check_finite=False)
-    y, _ = _trtrs(top, c1 - Bt @ s, lower=1, unitdiag=1)
-    step, _ = _trtrs(top, y)
+    y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
+    step, _ = _trtrs(lu, y)
     return step
 
 

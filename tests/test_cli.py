@@ -23,7 +23,7 @@ from fbbmb.cli import (
     sweep,
 )
 from fbbmb.opmatrices import build_operator_bundle
-from fbbmb.problems import get_problem, register_problems
+from fbbmb.problems import REGISTRY, get_problem
 from fbbmb.solver import SolveReport, SolverConfig, solve
 
 
@@ -67,8 +67,7 @@ def solves(monkeypatch):
 
 class TestProblemRegistry:
     def test_known_names(self):
-        names = register_problems()
-        assert {"example1", "example2", "manufactured:poly", "manufactured:trig"} <= set(names)
+        assert {"example1", "example2", "manufactured:poly", "manufactured:trig"} <= set(REGISTRY)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown problem"):
@@ -164,7 +163,7 @@ class TestCascade:
     def test_agrees_with_cold_solve(self, solves, problem, n, m, method):
         cfg = RunConfig(problem=problem, alpha=0.5, n=n, m=m, solver=SolverConfig(method=method))
         res = run(cfg)
-        assert len(solves) == 2  # one coarse level, then the fine grid
+        assert len(solves) == 3  # two coarse levels, then the fine grid
         fine = solves[-1]
         cold = solve(cold_system(cfg), cfg.solver)
         assert res.converged == fine.converged == cold.converged
@@ -172,10 +171,11 @@ class TestCascade:
         assert res.iterations == fine.iterations <= cold.iterations
 
     @pytest.mark.parametrize("n, m, degrees", [
-        (64, 64, [64, 64, 32, 32, 16, 16]),
-        (48, 32, [48, 32, 24, 16]),
-        (24, 24, [24, 24]),  # 12 < MIN_COARSE: cold
-        (31, 100, [31, 100]),  # the smaller axis decides
+        (64, 64, [64, 64, 32, 32, 16, 16, 8, 8]),
+        (48, 32, [48, 32, 24, 16, 12, 8]),
+        (24, 24, [24, 24, 12, 12]),  # 6 < MIN_COARSE: 12 is solved cold
+        (31, 100, [31, 100, 15, 50]),  # the smaller axis decides
+        (15, 15, [15, 15]),  # 7 < MIN_COARSE: cold
     ])
     def test_halving_schedule(self, monkeypatch, n, m, degrees):
         built = []

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 import fbbmb.solver
 
@@ -11,6 +12,8 @@ from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import example1, example2
 from fbbmb.solver import SolverConfig, newton_step, solve
+
+getrf, trcon, trtrs = get_lapack_funcs(("getrf", "trcon", "trtrs"), dtype=float)
 
 
 def make_system(spec, n, m):
@@ -110,6 +113,56 @@ class TestRectangularLuStep:
         oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert warns == []
+
+
+class TestInPlaceFactor:
+    # newton_step reads U and L1 from the top N rows of the (N+m+1) x N LU
+    # buffer, with leading dimension N+m+1, instead of from a copy of that block
+    @pytest.mark.parametrize("M, N", [(9, 6), (420, 400), (24, 16)])  # 24 x 16: n = 1, m = 7
+    def test_trcon_equals_f2py_trcon_on_the_copied_block(self, M, N):
+        rng = np.random.default_rng(M)
+        lu, _, info = getrf(np.asfortranarray(rng.standard_normal((M, N))))
+        assert info == 0
+        assert fbbmb.solver._trcon(lu, N) == trcon(np.asfortranarray(lu[:N]))
+
+    @pytest.mark.parametrize("M, N", [(9, 6), (420, 400), (24, 16)])
+    def test_trtrs_reads_the_top_block_in_place(self, M, N):
+        rng = np.random.default_rng(M)
+        lu, _, _ = getrf(np.asfortranarray(rng.standard_normal((M, N))))
+        top = np.asfortranarray(lu[:N])
+        b = rng.standard_normal(N)
+        for kwargs in ({"lower": 1, "unitdiag": 1}, {"lower": 1, "trans": 1, "unitdiag": 1}, {}):
+            assert np.array_equal(trtrs(lu, b, **kwargs)[0], trtrs(top, b, **kwargs)[0])
+        Bt_in_place, _ = trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
+        Bt_copied, _ = trtrs(top, lu[N:].T, lower=1, trans=1, unitdiag=1)
+        assert np.array_equal(Bt_in_place, Bt_copied)
+
+    def test_trcon_of_exactly_singular_u_is_zero(self):
+        rng = np.random.default_rng(0)
+        lu = np.asfortranarray(np.triu(rng.standard_normal((9, 6))))
+        lu[3, 3] = 0.0
+        assert fbbmb.solver._trcon(lu, 6) == (0.0, 0)
+
+    def test_trcon_rejects_a_c_ordered_array(self):
+        with pytest.raises(ValueError):
+            fbbmb.solver._trcon(np.eye(4), 3)
+
+    def test_step_holds_no_second_jacobian_sized_array(self, monkeypatch):
+        # the step's Jacobian is a fresh copy of a prebuilt one, allocated
+        # inside the trace as jacobian's result is, so the peak counts the
+        # step's arrays and not the broadcast temporaries of jacobian itself
+        sys20 = make_system(example2(0.5), 20, 20)
+        v = np.zeros(sys20.F.size)
+        G = residual(sys20, v)
+        J = jacobian(sys20, v)
+        monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
+        tracemalloc.start()
+        try:
+            newton_step(sys20, v, G, [], 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * J.nbytes
 
 
 class TestFloorScale:
@@ -240,9 +293,8 @@ class TestEvaluationCounts:
 
 class TestMemory:
     def test_assemble_and_newton_solve_peak_below_two_and_a_half_n_squared(self):
-        # the system holds no N x N array, and the LU buffer, (N+m+1) x N, and
-        # the copy of its N x N top block are the only O(N^2) arrays a solve
-        # holds at once
+        # the system holds no N x N array, and the LU buffer, (N+m+1) x N, is
+        # the only O(N^2) array a solve holds
         spec = example2(0.5)
         ns = build_node_set(BasisParams(0.5, 20))
         ops = build_operator_bundle(ns, ns, spec.alpha)
