@@ -165,7 +165,8 @@ def reconstruct(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
 def evaluate_on_mesh(
     u_nodal: np.ndarray, ns_x: NodeSet, ns_t: NodeSet, xs: np.ndarray, ts: np.ndarray
 ) -> np.ndarray:
-    """Tensor-product barycentric interpolation of nodal u onto xs x ts."""
+    """Tensor-product barycentric interpolation of any nodal field (u or v, in
+    the space-major ordering) onto xs x ts; exact where xs and ts hit nodes."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     for name, arr in (("xs", xs), ("ts", ts)):

@@ -5,6 +5,9 @@
 starts the fine Gauss-Newton loop from that solution interpolated onto the fine
 nodes. A coarse solve that did not converge is not used, and the fine solve
 then starts from v = 0, as it does on every grid with min(n, m) < 2 * MIN_COARSE.
+Every interpolation in `run`, of a coarse v onto the next grid's nodes and of the
+solution u onto the error mesh (the nodes themselves for "collocation"), is one
+`evaluate_on_mesh` call.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -21,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble, compute_aae, evaluate_on_mesh
-from .basis import BasisParams, ParameterDomainError, build_node_set, cardinal_matrix
+from .basis import BasisParams, ParameterDomainError, build_node_set
 from .opmatrices import build_operator_bundle
 from .problems import REGISTRY, get_problem
 from .solver import SolverConfig, solve
@@ -73,37 +77,30 @@ class RunResult:
     grid: Optional[np.ndarray] = None  # (x, t, u_numeric, u_exact, abs_err) rows
 
     def row(self) -> dict:
-        c = self.config
-        return {
-            "problem": c.problem, "alpha": c.alpha, "n": c.n, "m": c.m,
-            "lambda": c.lam, "aae": self.aae, "max_err": self.max_err,
-            "et_seconds": self.et_seconds, "precompute_seconds": self.precompute_seconds,
-            "iterations": self.iterations, "converged": self.converged,
-        }
+        """The CSV_COLUMNS of the config (`lambda` is its `lam`) and of this result."""
+        values = {**vars(self.config), "lambda": self.config.lam, **vars(self)}
+        return {k: values[k] for k in CSV_COLUMNS}
 
 
 def _nested_solve(spec, cfg: RunConfig):
-    """(ns_x, ns_t, fine SolveReport, fine set-up s, all other s) of cfg's grid.
+    """(system, SolveReport, set-up seconds) of cfg's grid.
 
-    The fine solve starts from the solution at (n // 2, m // 2), interpolated
-    onto the fine nodes, when that grid is at least MIN_COARSE on each axis and
-    its own (recursive) solve converged; from v = 0 otherwise. The last time
-    covers the coarse levels, the interpolation and the fine solve."""
+    The solve starts from the solution at (n // 2, m // 2), interpolated onto
+    this grid's nodes, when that grid is at least MIN_COARSE on each axis and
+    its own (recursive) solve converged; from v = 0 otherwise. The set-up time
+    covers this grid's node sets, operators and assembly only."""
     t0 = time.perf_counter()
     ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
     ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
-    ops = build_operator_bundle(ns_x, ns_t, cfg.alpha)
-    sys_d = assemble(spec, ops)
-    precompute_seconds = time.perf_counter() - t0
+    sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, cfg.alpha))
+    setup_seconds = time.perf_counter() - t0
 
     v0 = None
     if min(cfg.n, cfg.m) // 2 >= MIN_COARSE:
-        cx, ct, coarse, _, _ = _nested_solve(spec, replace(cfg, n=cfg.n // 2, m=cfg.m // 2))
+        cs, coarse, _ = _nested_solve(spec, replace(cfg, n=cfg.n // 2, m=cfg.m // 2))
         if coarse.converged:
-            Vc = coarse.v.reshape(cx.n + 1, ct.n + 1)  # space-major, see assembly
-            v0 = (cardinal_matrix(cx, ns_x.nodes) @ Vc @ cardinal_matrix(ct, ns_t.nodes).T).reshape(-1)
-    report = solve(sys_d, cfg.solver, v0)
-    return ns_x, ns_t, report, precompute_seconds, time.perf_counter() - t0 - precompute_seconds
+            v0 = evaluate_on_mesh(coarse.v, cs.ns_x, cs.ns_t, ns_x.nodes, ns_t.nodes).reshape(-1)
+    return sys_d, solve(sys_d, cfg.solver, v0), setup_seconds
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -111,30 +108,30 @@ def run(cfg: RunConfig) -> RunResult:
 
     `iterations` counts the fine grid's Gauss-Newton steps. `precompute_seconds`
     is the fine grid's set-up (node sets, operators, assembly); `et_seconds` is
-    everything else up to the solution: the coarse levels' set-up and solves,
-    the interpolation, and the fine solve."""
+    the rest of the solve: the coarse levels' set-up and solves, the
+    interpolations, and the fine solve. The error mesh is the grid's nodes
+    ("collocation") or 101 uniform x at 101 uniform t ("uniform101") or at one t."""
     spec = get_problem(cfg.problem, cfg.alpha)
-    ns_x, ns_t, report, precompute_seconds, et_seconds = _nested_solve(spec, cfg)
-    u = report.u
+    t0 = time.perf_counter()
+    sys_d, report, precompute_seconds = _nested_solve(spec, cfg)
+    et_seconds = time.perf_counter() - t0 - precompute_seconds
 
     grid = None
-    if spec.exact is None:
-        aae = max_err = float("nan")
-    elif cfg.error_mesh == "collocation":
-        exact = spec.exact(ns_x.nodes[:, None], ns_t.nodes[None, :]).reshape(-1)
-        aae = compute_aae(u, exact)
-        max_err = float(np.max(np.abs(u - exact)))
-    else:
-        xs = np.linspace(0.0, 1.0, 101)
-        ts = xs if cfg.error_mesh == "uniform101" else np.array([float(cfg.error_mesh[6:])])
-        U = evaluate_on_mesh(u, ns_x, ns_t, xs, ts)
+    aae = max_err = float("nan")
+    if spec.exact is not None:
+        xs, ts = sys_d.ns_x.nodes, sys_d.ns_t.nodes
+        if cfg.error_mesh != "collocation":
+            xs = np.linspace(0.0, 1.0, 101)
+            ts = xs if cfg.error_mesh == "uniform101" else np.array([float(cfg.error_mesh[6:])])
+        U = evaluate_on_mesh(report.u, sys_d.ns_x, sys_d.ns_t, xs, ts)
         E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
         aae = compute_aae(U, E)
         max_err = float(np.max(np.abs(U - E)))
-        X, T = np.meshgrid(xs, ts, indexing="ij")
-        grid = np.column_stack(
-            [X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()]
-        )
+        if cfg.error_mesh != "collocation":
+            X, T = np.meshgrid(xs, ts, indexing="ij")
+            grid = np.column_stack(
+                [X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()]
+            )
     return RunResult(cfg, aae, max_err, et_seconds, precompute_seconds,
                      report.iterations, report.converged, grid)
 
@@ -190,15 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fbbmb",
         description="Spectral solver for the time-fractional BBM-Burgers equation",
     )
-    p.add_argument("--problem", default="example1", choices=sorted(REGISTRY))
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--m", type=int, default=7)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--solver", choices=["newton", "trust-region"], default="newton")
-    p.add_argument("--error-mesh", default="collocation",
+    run_d, solver_d = RunConfig(), SolverConfig()
+    p.add_argument("--problem", default=run_d.problem, choices=sorted(REGISTRY))
+    p.add_argument("--alpha", type=float, default=run_d.alpha)
+    p.add_argument("--n", type=int, default=run_d.n)
+    p.add_argument("--m", type=int, default=run_d.m)
+    p.add_argument("--lambda", dest="lam", type=float, default=run_d.lam)
+    p.add_argument("--tol", type=float, default=solver_d.tol_residual)
+    p.add_argument("--max-iters", type=int, default=solver_d.max_iters)
+    p.add_argument("--solver", choices=["newton", "trust-region"],
+                   default=solver_d.method.replace("_", "-"))
+    p.add_argument("--error-mesh", default=run_d.error_mesh,
                    help="collocation | uniform101 | slice=<t>")
     p.add_argument("--format", dest="fmt", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", dest="out", default=None)
@@ -214,15 +213,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID_CONFIG if exc.code not in (0, None) else 0
     try:
-        solver_cfg = SolverConfig(
-            tol_residual=args.tol,
-            max_iters=args.max_iters,
-            method=args.solver.replace("-", "_"),
-        )
+        solver_cfg = SolverConfig(tol_residual=args.tol, max_iters=args.max_iters,
+                                  method=args.solver.replace("-", "_"))
         cfg = RunConfig(
             problem=args.problem, alpha=args.alpha, n=args.n, m=args.m,
             lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh,
         )
+        if args.out and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
+            raise ValueError(f"--out {args.out}: its directory is missing or not writable")
         if args.sweep_alpha or args.sweep_size:
             alphas = [float(a) for a in (args.sweep_alpha or str(args.alpha)).split(",")]
             sizes = [int(s) for s in (args.sweep_size or str(args.n)).split(",")]

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import fbbmb.cli as cli
-from fbbmb.assembly import assemble, evaluate_on_mesh
+from fbbmb.assembly import assemble, compute_aae, evaluate_on_mesh
 from fbbmb.basis import BasisParams, build_node_set
 from fbbmb.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     RunConfig,
+    RunResult,
     format_csv,
     format_json,
     format_table,
@@ -150,6 +151,36 @@ class TestRun:
             for j, t in enumerate(ts)
         ]
         assert np.array_equal(np.array(res.grid).view(np.int64), np.array(rows).view(np.int64))
+
+    @pytest.mark.parametrize("problem", sorted(REGISTRY))
+    def test_collocation_errors_bit_equal_to_nodal_errors(self, problem):
+        # the collocation mesh goes through evaluate_on_mesh, whose rows at the
+        # nodes are unit vectors: the errors are those of the nodal u itself
+        cfg = RunConfig(problem=problem, alpha=0.5, n=9, m=6)
+        res = run(cfg)
+        sys_d = cold_system(cfg)
+        u = solve(sys_d, cfg.solver).u
+        x, t = sys_d.ns_x.nodes, sys_d.ns_t.nodes
+        exact = get_problem(problem, 0.5).exact(x[:, None], t[None, :]).reshape(-1)
+        assert res.grid is None
+        assert res.aae == compute_aae(u, exact)
+        assert res.max_err == float(np.max(np.abs(u - exact)))
+
+    @pytest.mark.parametrize("mesh, last", [
+        ("collocation", (32, 32, 33, 33)),
+        ("slice=0.3", (32, 32, 101, 1)),
+    ])
+    def test_one_evaluation_path(self, monkeypatch, mesh, last):
+        # 32 x 32 cascades from 16 and 8: two prolongations, then the error mesh
+        calls = []
+
+        def recording(u, ns_x, ns_t, xs, ts):
+            calls.append((ns_x.n, ns_t.n, len(xs), len(ts)))
+            return evaluate_on_mesh(u, ns_x, ns_t, xs, ts)
+
+        monkeypatch.setattr(cli, "evaluate_on_mesh", recording)
+        run(RunConfig(problem="example2", alpha=0.5, n=32, m=32, error_mesh=mesh))
+        assert calls == [(8, 8, 17, 17), (16, 16, 33, 33), last]
 
 
 class TestCascade:
@@ -329,6 +360,27 @@ class TestMain:
         code = main(["--problem", "example2", "--n", "4", "--m", "4", "--sweep-alpha", "0.5,1.5"])
         assert code == EXIT_INVALID_CONFIG
         assert calls == []
+
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        path = tmp_path / "missing" / "x.csv"
+        code = main(["--problem", "example2", "--n", "4", "--m", "4", "--out", str(path)])
+        assert code == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []  # rejected before any solve
+        assert not path.parent.exists()
+
+    def test_defaults_are_the_dataclass_defaults(self, capsys, monkeypatch):
+        calls = []
+
+        def recording(cfg):
+            calls.append(cfg)
+            return RunResult(cfg, 0.0, 0.0, 0.0, 0.0, 1, True)
+
+        monkeypatch.setattr("fbbmb.cli.run", recording)
+        assert main([]) == EXIT_OK
+        assert calls == [RunConfig()]
 
     def test_nonconvergence_exit_code(self, capsys):
         code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1"])
