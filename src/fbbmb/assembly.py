@@ -141,7 +141,7 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     Entry ((i, j), (p, q)) of J(v) is
     Q_x[i,p] (rl_frac[j,q] + Y[i,j] Q_t[j,q]) - D_x[i,p] [j=q] + W[i,j] Q_t[j,q] [i=p];
     the first term is one broadcast product into the whole block, the other two
-    touch only its (n+1)^2 (m+1) and (n+1)(m+1)^2 structured entries.
+    touch only its (n+1)^2 (m+1) and (n+1)(m+1)^2 entries, through einsum diagonal views.
     """
     n1, m1 = sys.ns_x.n + 1, sys.ns_t.n + 1
     N = n1 * m1
@@ -150,9 +150,8 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     T4 = out_t[:, :N].reshape(n1, m1, n1, m1)
     A = sys.rl_frac.T[:, None, :] + Y[None, :, :] * sys.Q_t.T[:, None, :]  # [q, i, j]
     np.multiply(sys.Q_x.T[:, None, :, None], A[None], out=T4)
-    a_n, a_m = np.arange(n1), np.arange(m1)
-    T4[:, a_m, :, a_m] -= sys.D_x.T[None]  # [q, p, i]: the j = q entries
-    T4[a_n, :, a_n, :] += W[:, None, :] * sys.Q_t.T[None]  # [p, q, j]: the i = p entries
+    np.einsum("pqiq->pqi", T4)[...] -= sys.D_x.T[:, None, :]  # [p, q, i]: j = q
+    np.einsum("pqpj->pqj", T4)[...] += W[:, None, :] * sys.Q_t.T[None]  # [p, q, j]: i = p
     out_t[:, N:] = sys.C.T
     return out_t.T
 

@@ -1,4 +1,7 @@
-"""Command-line front end: single runs, alpha/size sweeps, table/CSV/JSON output.
+"""Command-line front end: alpha/size sweeps, table/CSV/JSON output.
+
+`main` runs every invocation through `sweep`, which validates every row before
+the first solve; a single run is the 1 x 1 sweep of the flags' alpha and (n, m).
 
 `run` solves a grid by nested iteration: it first solves the same problem at
 (n // 2, m // 2), recursively while both halves stay at least MIN_COARSE, and
@@ -25,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble, compute_aae, evaluate_on_mesh
-from .basis import BasisParams, ParameterDomainError, build_node_set
+from .basis import BasisParams, build_node_set
 from .opmatrices import build_operator_bundle
 from .problems import REGISTRY, get_problem
 from .solver import SolverConfig, solve
@@ -52,6 +55,8 @@ class RunConfig:
     error_mesh: str = "collocation"  # "collocation" | "uniform101" | "slice=<t>"
 
     def __post_init__(self):
+        if self.problem not in REGISTRY:
+            raise ValueError(f"unknown problem {self.problem!r}; known: {sorted(REGISTRY)}")
         if not 0.0 < self.alpha <= 1.0:  # also rejects nan
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.n < 1 or self.m < 1:
@@ -117,31 +122,31 @@ def run(cfg: RunConfig) -> RunResult:
     et_seconds = time.perf_counter() - t0 - precompute_seconds
 
     grid = None
-    aae = max_err = float("nan")
-    if spec.exact is not None:
-        xs, ts = sys_d.ns_x.nodes, sys_d.ns_t.nodes
-        if cfg.error_mesh != "collocation":
-            xs = np.linspace(0.0, 1.0, 101)
-            ts = xs if cfg.error_mesh == "uniform101" else np.array([float(cfg.error_mesh[6:])])
-        U = evaluate_on_mesh(report.u, sys_d.ns_x, sys_d.ns_t, xs, ts)
-        E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
-        aae = compute_aae(U, E)
-        max_err = float(np.max(np.abs(U - E)))
-        if cfg.error_mesh != "collocation":
-            X, T = np.meshgrid(xs, ts, indexing="ij")
-            grid = np.column_stack(
-                [X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()]
-            )
+    xs, ts = sys_d.ns_x.nodes, sys_d.ns_t.nodes
+    if cfg.error_mesh != "collocation":
+        xs = np.linspace(0.0, 1.0, 101)
+        ts = xs if cfg.error_mesh == "uniform101" else np.array([float(cfg.error_mesh[6:])])
+    U = evaluate_on_mesh(report.u, sys_d.ns_x, sys_d.ns_t, xs, ts)
+    E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
+    aae = compute_aae(U, E)
+    max_err = float(np.max(np.abs(U - E)))
+    if cfg.error_mesh != "collocation":
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        grid = np.column_stack([X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()])
     return RunResult(cfg, aae, max_err, et_seconds, precompute_seconds,
                      report.iterations, report.converged, grid)
 
 
-def sweep(template: RunConfig, alphas: list[float], sizes: list[int]) -> list[RunResult | Exception]:
-    """Cartesian sweep over alpha and n = m; failures are recorded per row."""
-    if not alphas or not sizes:
+def sweep(template: RunConfig, alphas: list[float] | None = None,
+          sizes: list[int] | None = None) -> list[RunResult | Exception]:
+    """Cartesian sweep over alpha and n = m, each failure recorded in its row.
+    A list left None keeps the template's alpha, or its own (n, m); an empty one
+    is rejected. RunConfig validates every row before the first one runs."""
+    alphas = [template.alpha] if alphas is None else alphas
+    grids = [(template.n, template.m)] if sizes is None else [(s, s) for s in sizes]
+    if not alphas or not grids:
         raise ValueError("sweep lists must be non-empty")
-    # RunConfig validates every row before the first one runs
-    configs = [replace(template, alpha=a, n=s, m=s) for a in alphas for s in sizes]
+    configs = [replace(template, alpha=a, n=n, m=m) for a in alphas for n, m in grids]
     results: list[RunResult | Exception] = []
     for cfg in configs:
         try:
@@ -215,19 +220,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         solver_cfg = SolverConfig(tol_residual=args.tol, max_iters=args.max_iters,
                                   method=args.solver.replace("-", "_"))
-        cfg = RunConfig(
-            problem=args.problem, alpha=args.alpha, n=args.n, m=args.m,
-            lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh,
-        )
-        if args.out and not os.access(os.path.dirname(args.out) or ".", os.W_OK):
-            raise ValueError(f"--out {args.out}: its directory is missing or not writable")
-        if args.sweep_alpha or args.sweep_size:
-            alphas = [float(a) for a in (args.sweep_alpha or str(args.alpha)).split(",")]
-            sizes = [int(s) for s in (args.sweep_size or str(args.n)).split(",")]
-            rows = sweep(cfg, alphas, sizes)
-        else:
-            rows = [run(cfg)]
-    except (ValueError, ParameterDomainError, KeyError) as exc:
+        cfg = RunConfig(problem=args.problem, alpha=args.alpha, n=args.n, m=args.m,
+                        lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh)
+        if args.out and os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} is a directory")
+        # an existing file must be writable; a new one needs a writable directory
+        if args.out and not os.access(args.out if os.path.exists(args.out) else
+                                      os.path.dirname(args.out) or ".", os.W_OK):
+            raise ValueError(f"--out {args.out}: not writable, or its directory is missing or not writable")
+        alphas = None if args.sweep_alpha is None else [float(a) for a in args.sweep_alpha.split(",")]
+        sizes = None if args.sweep_size is None else [int(s) for s in args.sweep_size.split(",")]
+        rows = sweep(cfg, alphas, sizes)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 
@@ -244,9 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(text)
 
-    if failures or not all(r.converged for r in results):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if failures or not all(r.converged for r in results) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,11 +33,11 @@ Each Gauss-Newton step is a rectangular-LU least-squares solve (Peters &
 Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
 P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
 min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
-so it is solved through its (m+1) x (m+1) normal equations. Back-substitution
-through L1 and U gives the step. When LU cannot give a reliable step (an exact
-zero pivot, or a dtrcon estimate of rcond(U) below eps * rows), J is built again
-and the step is the minimum-norm solution by QR with column pivoting (LAPACK
-gelsy), and the report warns if J has lost rank.
+so it is solved through its (m+1) x (m+1) normal equations by Cholesky (posv).
+Back-substitution through L1 and U gives the step. When LU cannot give a
+reliable step (an exact zero pivot, rcond(U) by dtrcon below eps * rows, or a
+posv failure), J is built again and the step is the minimum-norm solution by QR
+with column pivoting (LAPACK gelsy); the report warns if J has lost rank.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cython_lapack, get_lapack_funcs, lstsq
-from scipy.linalg import solve as dense_solve
 
 from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, vjp
 
@@ -67,7 +66,7 @@ TOL_STEP = 1e-14  # stop, not converged, once a step's largest entry is this sma
 MIN_TRUST_RADIUS = 1e-12  # the dogleg gives up below this radius
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
-_getrf, _trtrs, _laswp = get_lapack_funcs(("getrf", "trtrs", "laswp"), dtype=float)
+_getrf, _trtrs, _laswp, _posv = get_lapack_funcs(("getrf", "trtrs", "laswp", "posv"), dtype=float)
 
 
 def _cython_lapack(name, *argtypes):
@@ -153,17 +152,17 @@ def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[s
     # the top N rows of lu hold the unit L1 below the diagonal and U on and
     # above it; trtrs reads that N x N block in place (its lda is M)
     lu, piv, info = _getrf(J, overwrite_a=1)
-    if info > 0 or _trcon(lu, N)[0] < EPS * M:
-        del J, lu  # the factors overwrote J; the handler needs J itself
-        return _min_norm_step(jacobian(sys, v), G, warns, k)
-    Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
-    c = _laswp(-G, piv)
-    c1, c2 = c[:N], c[N:]
-    s = dense_solve(Bt.T @ Bt + np.eye(M - N), Bt.T @ c1 - c2,
-                    assume_a="pos", check_finite=False)
-    y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
-    step, _ = _trtrs(lu, y)
-    return step
+    if not (info > 0 or _trcon(lu, N)[0] < EPS * M):
+        Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
+        c = _laswp(-G, piv)
+        c1, c2 = c[:N], c[N:]
+        _, s, info = _posv(Bt.T @ Bt + np.eye(M - N), Bt.T @ c1 - c2)
+        if info == 0:
+            y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
+            step, _ = _trtrs(lu, y)
+            return step
+    del J, lu  # the factors overwrote J; the handler needs J itself
+    return _min_norm_step(jacobian(sys, v), G, warns, k)
 
 
 def _min_norm_step(J, G, warns, k):

@@ -256,6 +256,24 @@ class TestJacobian:
         scale = max(1.0, np.max(np.abs(J)))
         assert np.max(np.abs(J - fd)) / scale < 1e-6
 
+    @pytest.mark.parametrize("n, m", [(3, 7), (9, 4), (8, 8)])
+    def test_equals_the_entry_formula_bit_for_bit(self, n, m):
+        # the docstring's entry formula with its two Kronecker deltas as
+        # identity factors (x * 1 and x * 0 are exact): a swapped axis in
+        # either structured update would show on a rectangular grid
+        sys = make_system(example2(0.5), n, m)
+        v = 0.3 * np.random.default_rng(5).standard_normal(sys.F.size)
+        Qx, Dx, Qt, R = sys.Q_x, sys.D_x, sys.Q_t, sys.rl_frac
+        VQt = v.reshape(n + 1, m + 1) @ Qt.T
+        Y = VQt + sys.phi_prime.reshape(n + 1, m + 1)
+        W = 1.0 + sys.S.reshape(n + 1, m + 1) + Qx @ VQt
+        # T[i, j, p, q] = J[(i, j), (p, q)]
+        T = Qx[:, None, :, None] * (R[None, :, None, :] + Y[:, :, None, None] * Qt[None, :, None, :])
+        T = T - Dx[:, None, :, None] * np.eye(m + 1)[None, :, None, :]
+        T = T + (W[:, :, None, None] * Qt[None, :, None, :]) * np.eye(n + 1)[:, None, :, None]
+        N = sys.F.size
+        assert np.array_equal(jacobian(sys, v)[:N], T.reshape(N, N))
+
     def test_shape_and_constraint_rows(self):
         n, m = 3, 4
         sys = make_system(example2(0.5), n, m)

@@ -74,6 +74,11 @@ class TestProblemRegistry:
         with pytest.raises(KeyError, match="unknown problem"):
             get_problem("nope", 0.5)
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_every_problem_has_an_exact_solution(self, name):
+        # `run` measures every error against `exact`; it has no other branch
+        assert REGISTRY[name](0.5).exact is not None
+
     def test_example1_boundary_values(self):
         spec = get_problem("example1", 0.5)
         # u = x^4 (x-1) t^1.5 vanishes on x=0, x=1, t=0
@@ -104,6 +109,7 @@ class TestRunConfigValidation:
             {"alpha": 1.5},
             {"alpha": 0.0},
             {"alpha": float("nan")},
+            {"problem": "bogus"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -265,6 +271,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(RunConfig(), [0.5], [])
 
+    @pytest.mark.parametrize("alphas, sizes, expected", [
+        (None, None, [(0.3, 8, 4)]),
+        ([0.5, 1.0], None, [(0.5, 8, 4), (1.0, 8, 4)]),
+        (None, [5, 6], [(0.3, 5, 5), (0.3, 6, 6)]),
+    ])
+    def test_an_unset_axis_keeps_the_template(self, monkeypatch, alphas, sizes, expected):
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        template = RunConfig(problem="example2", alpha=0.3, n=8, m=4)
+        sweep(template, alphas, sizes)
+        assert calls == [dataclasses.replace(template, alpha=a, n=n, m=m) for a, n, m in expected]
+
     def test_degenerate_size_rejected(self, monkeypatch):
         calls = []
         monkeypatch.setattr("fbbmb.cli.run", calls.append)
@@ -370,6 +388,44 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []  # rejected before any solve
         assert not path.parent.exists()
+
+    def test_out_naming_a_directory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        code = main(["--problem", "example2", "--n", "4", "--m", "4", "--out", str(tmp_path)])
+        assert code == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
+        assert calls == []  # rejected before any solve
+
+    def test_out_naming_an_unwritable_file(self, tmp_path, capsys, monkeypatch):
+        # os.access stands in for a read-only file, which root could still write
+        path = tmp_path / "x.csv"
+        path.write_text("kept")
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        monkeypatch.setattr("fbbmb.cli.os.access", lambda p, mode: p != str(path))
+        code = main(["--problem", "example2", "--n", "4", "--m", "4", "--out", str(path)])
+        assert code == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: --out {path}: not writable")
+        assert calls == []
+        assert path.read_text() == "kept"
+
+    def test_sweep_alpha_keeps_the_n_by_m_grid(self, capsys):
+        code = main(["--problem", "example2", "--n", "8", "--m", "4",
+                     "--sweep-alpha", "0.3,0.5", "--format", "csv"])
+        assert code == EXIT_OK
+        rows = parse_run_result_csv(capsys.readouterr().out)
+        assert [(r["alpha"], r["n"], r["m"]) for r in rows] == [(0.3, 8, 4), (0.5, 8, 4)]
+
+    def test_single_run_failure_is_reported(self, capsys, monkeypatch):
+        # a single run is the 1 x 1 sweep: a solve that raises is a failed row
+        def singular(sys_d, solver_cfg, v0=None):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli, "solve", singular)
+        code = main(["--problem", "example2", "--n", "4", "--m", "4"])
+        assert code == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == "error: run failed: singular matrix\n"
 
     def test_defaults_are_the_dataclass_defaults(self, capsys, monkeypatch):
         calls = []

@@ -115,6 +115,19 @@ class TestRectangularLuStep:
         assert warns == []
 
 
+    def test_posv_failure_takes_the_min_norm_step(self, monkeypatch):
+        # posv reporting info != 0 on the normal equations sends the step to
+        # the pivoted-QR handler, as an exact zero pivot does
+        sys8 = make_system(example2(0.5), 8, 8)
+        v = 0.1 * np.ones(sys8.F.size)
+        G = residual(sys8, v)
+        expected = fbbmb.solver._min_norm_step(jacobian(sys8, v), G, [], 0)
+        monkeypatch.setattr(fbbmb.solver, "_posv", lambda a, b: (a, b, 1))
+        warns = []
+        assert np.array_equal(newton_step(sys8, v, G, warns, 0), expected)
+        assert warns == []
+
+
 class TestInPlaceFactor:
     # newton_step reads U and L1 from the top N rows of the (N+m+1) x N LU
     # buffer, with leading dimension N+m+1, instead of from a copy of that block
