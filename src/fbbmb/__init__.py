@@ -13,13 +13,12 @@ from .assembly import (
     residual,
     vjp,
 )
-from .basis import BasisParams, NodeSet, build_node_set
+from .basis import NodeSet, build_node_set
 from .opmatrices import OperatorBundle, build_operator_bundle
-from .problems import REGISTRY, get_problem
+from .problems import REGISTRY
 from .solver import SolverConfig, SolveReport, solve
 
 __all__ = [
-    "BasisParams",
     "NodeSet",
     "build_node_set",
     "OperatorBundle",
@@ -37,7 +36,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "solve",
-    "get_problem",
     "REGISTRY",
 ]
 

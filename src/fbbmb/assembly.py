@@ -4,7 +4,8 @@ Grid ordering is space-major throughout: a nodal field g(x_i, t_j) is vectorized
 as vec[i*(m+1) + j], so every Kronecker product reads A_space (x) B_time and
 (A (x) B) vec(g) == vec(A @ G @ B.T) for the (n+1) x (m+1) matrix G.
 
-The system keeps its operators as those 1-D factors. The linear part
+A `DiscreteSystem` is the `OperatorBundle` it was assembled from, extended by
+the problem's data, so it keeps its operators as those 1-D factors. The linear part
 Psi = Q_x (x) rl_frac - D_x (x) I and the nonlinear-term operators
 K_tn = I (x) Q_t and Q_tx = Q_x (x) Q_t are applied as (n+1) x (m+1) matrix
 sandwiches at O(N (n+m)) each, N = (n+1)(m+1); so are the Jacobian products
@@ -51,16 +52,10 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class DiscreteSystem:
-    """Assembled collocation system: the 1-D operator factors of Psi, K_tn and
-    Q_tx, data vectors, and the boundary integral constraint C v = Rhat."""
+class DiscreteSystem(OperatorBundle):
+    """Assembled collocation system: the operator bundle it was assembled from,
+    the data vectors, and the boundary integral constraint C v = Rhat."""
 
-    ns_x: NodeSet
-    ns_t: NodeSet
-    Q_x: np.ndarray
-    D_x: np.ndarray
-    rl_frac: np.ndarray
-    Q_t: np.ndarray
     S: np.ndarray
     phi_prime: np.ndarray
     F: np.ndarray
@@ -86,8 +81,8 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     Rhat = psi2_t - psi1_t - (phi1 - phi0)
     C = np.kron(ops.P_x, ops.Q_t)
 
-    return DiscreteSystem(ops.ns_x, ops.ns_t, ops.Q_x, ops.D_x, ops.rl_frac,
-                          ops.Q_t, S.reshape(-1), phi_prime, F.reshape(-1), C, Rhat)
+    return DiscreteSystem(**vars(ops), S=S.reshape(-1), phi_prime=phi_prime,
+                          F=F.reshape(-1), C=C, Rhat=Rhat)
 
 
 def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shifted Gegenbauer-Gauss node sets on [0, 1] with barycentric weights."""
+"""Shifted Gegenbauer-Gauss node sets on [0, 1] with barycentric weights, built
+by `build_node_set` from the Gegenbauer index lam and the grid degree n."""
 
 from __future__ import annotations
 
@@ -19,40 +20,31 @@ class ParameterDomainError(ValueError):
     """Raised for Gegenbauer/fractional parameters outside their valid windows."""
 
 
-@dataclass(frozen=True)
-class BasisParams:
-    """Gegenbauer index `lam` and grid degree `n` (node count n + 1)."""
-
-    lam: float
-    n: int
-
-    def __post_init__(self):
-        if not (LAMBDA_MIN < self.lam <= LAMBDA_MAX):
-            raise ParameterDomainError(
-                f"lambda={self.lam} outside the valid window ({LAMBDA_MIN}, {LAMBDA_MAX}]"
-            )
-        if abs(self.lam - LAMBDA_STAR) < LAMBDA_STAR_HALO:
-            warnings.warn(
-                f"lambda={self.lam} lies within {LAMBDA_STAR_HALO} of the "
-                f"error-amplifying index {LAMBDA_STAR}; accuracy may degrade",
-                stacklevel=2,
-            )
-        if self.n < 0:
-            raise ParameterDomainError(f"grid degree n={self.n} must be nonnegative")
+def check_lambda(lam: float) -> None:
+    """Reject a Gegenbauer index outside (LAMBDA_MIN, LAMBDA_MAX]; warn near LAMBDA_STAR."""
+    if not (LAMBDA_MIN < lam <= LAMBDA_MAX):
+        raise ParameterDomainError(
+            f"lambda={lam} outside the valid window ({LAMBDA_MIN}, {LAMBDA_MAX}]"
+        )
+    if abs(lam - LAMBDA_STAR) < LAMBDA_STAR_HALO:
+        warnings.warn(
+            f"lambda={lam} lies within {LAMBDA_STAR_HALO} of the "
+            f"error-amplifying index {LAMBDA_STAR}; accuracy may degrade",
+            stacklevel=3,
+        )
 
 
 @dataclass(frozen=True)
 class NodeSet:
     """SGG nodes in (0, 1), the Gauss nodes of w(x) = (x(1-x))^(lam-1/2), with
-    normalized barycentric weights."""
+    normalized barycentric weights; the grid degree is n = nodes.size - 1."""
 
-    params: BasisParams
     nodes: np.ndarray
     bary_weights: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.params.n
+        return self.nodes.size - 1
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -66,12 +58,15 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return signs * np.exp(logw)
 
 
-def build_node_set(params: BasisParams) -> NodeSet:
-    """SGG nodes on [0, 1]: the nodes of scipy's Gauss-Gegenbauer rule on [-1, 1]
-    under the affine shift x -> (x + 1)/2."""
-    x, _ = roots_gegenbauer(params.n + 1, params.lam)
+def build_node_set(lam: float, n: int) -> NodeSet:
+    """The n + 1 SGG nodes of index lam on [0, 1]: the nodes of scipy's
+    Gauss-Gegenbauer rule on [-1, 1] under the affine shift x -> (x + 1)/2."""
+    check_lambda(lam)
+    if n < 0:
+        raise ParameterDomainError(f"grid degree n={n} must be nonnegative")
+    x, _ = roots_gegenbauer(n + 1, lam)
     nodes = (x + 1.0) / 2.0
-    return NodeSet(params, nodes, barycentric_weights(nodes))
+    return NodeSet(nodes, barycentric_weights(nodes))
 
 
 def cardinal_matrix(ns: NodeSet, xs: np.ndarray) -> np.ndarray:

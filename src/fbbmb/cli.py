@@ -28,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble, compute_aae, evaluate_on_mesh
-from .basis import BasisParams, build_node_set
+from .basis import build_node_set, check_lambda
 from .opmatrices import build_operator_bundle
-from .problems import REGISTRY, get_problem
+from .problems import REGISTRY
 from .solver import SolverConfig, solve
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ class RunConfig:
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
-        BasisParams(self.lam, 1)  # window validation only
+        check_lambda(self.lam)
         if self.error_mesh not in ("collocation", "uniform101") and not self.error_mesh.startswith("slice="):
             raise ValueError(f"unknown error mesh {self.error_mesh!r}")
         if self.error_mesh.startswith("slice="):
@@ -95,8 +95,8 @@ def _nested_solve(spec, cfg: RunConfig):
     its own (recursive) solve converged; from v = 0 otherwise. The set-up time
     covers this grid's node sets, operators and assembly only."""
     t0 = time.perf_counter()
-    ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
-    ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
+    ns_x = build_node_set(cfg.lam, cfg.n)
+    ns_t = build_node_set(cfg.lam, cfg.m)
     sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, cfg.alpha))
     setup_seconds = time.perf_counter() - t0
 
@@ -116,7 +116,7 @@ def run(cfg: RunConfig) -> RunResult:
     the rest of the solve: the coarse levels' set-up and solves, the
     interpolations, and the fine solve. The error mesh is the grid's nodes
     ("collocation") or 101 uniform x at 101 uniform t ("uniform101") or at one t."""
-    spec = get_problem(cfg.problem, cfg.alpha)
+    spec = REGISTRY[cfg.problem](cfg.alpha)
     t0 = time.perf_counter()
     sys_d, report, precompute_seconds = _nested_solve(spec, cfg)
     et_seconds = time.perf_counter() - t0 - precompute_seconds

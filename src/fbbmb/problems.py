@@ -97,18 +97,10 @@ def manufactured_trig(alpha: float) -> ProblemSpec:
     )
 
 
-# problem name -> factory(alpha)
+# problem name -> factory(alpha), the one problem lookup: REGISTRY[name](alpha)
 REGISTRY: dict[str, Callable[[float], ProblemSpec]] = {
     "example1": example1,
     "example2": example2,
     "manufactured:poly": manufactured_poly,
     "manufactured:trig": manufactured_trig,
 }
-
-
-def get_problem(name: str, alpha: float) -> ProblemSpec:
-    try:
-        factory = REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown problem {name!r}; known: {sorted(REGISTRY)}") from None
-    return factory(alpha)

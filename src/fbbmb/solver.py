@@ -110,8 +110,8 @@ class SolverConfig:
     method: str = "newton"  # "newton" | "trust_region"
 
     def __post_init__(self):
-        if not self.tol_residual > 0:  # also rejects nan
-            raise ValueError("tol_residual must be positive")
+        if not 0 < self.tol_residual < np.inf:  # also rejects nan
+            raise ValueError(f"tol_residual={self.tol_residual} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError(f"max_iters={self.max_iters} must be at least 1")
         if self.method not in ("newton", "trust_region"):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from fbbmb.assembly import assemble, compute_aae, jacobian, residual
-from fbbmb.basis import BasisParams, build_node_set
+from fbbmb.basis import build_node_set
 from fbbmb.cli import RunConfig, run
 from fbbmb.opmatrices import build_operator_bundle, build_rl_fsgim
 from oracles import rlfi_oracle
@@ -24,8 +24,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def make_system(spec, n, m):
-    ns_x = build_node_set(BasisParams(0.5, n))
-    ns_t = build_node_set(BasisParams(0.5, m))
+    ns_x = build_node_set(0.5, n)
+    ns_t = build_node_set(0.5, m)
     ops = build_operator_bundle(ns_x, ns_t, spec.alpha)
     return assemble(spec, ops)
 
@@ -142,7 +142,7 @@ def test_criterion_6_jacobian_matches_finite_differences():
 
 def test_criterion_7_fractional_matrix_against_quadrature_oracle():
     rng = np.random.default_rng(123)
-    ns = build_node_set(BasisParams(0.5, 10))
+    ns = build_node_set(0.5, 10)
     B = build_rl_fsgim(ns, 0.6)
     worst = 0.0
     for _ in range(10):

@@ -16,15 +16,15 @@ from fbbmb.assembly import (
     residual,
     vjp,
 )
-from fbbmb.basis import BasisParams, build_node_set
+from fbbmb.basis import build_node_set
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import REGISTRY, example1, example2, manufactured_poly
 from oracles import example1_source, example2_source
 
 
 def make_system(spec, n, m, **bundle_kwargs):
-    ns_x = build_node_set(BasisParams(0.5, n))
-    ns_t = build_node_set(BasisParams(0.5, m))
+    ns_x = build_node_set(0.5, n)
+    ns_t = build_node_set(0.5, m)
     ops = build_operator_bundle(ns_x, ns_t, spec.alpha, **bundle_kwargs)
     return assemble(spec, ops)
 
@@ -126,7 +126,7 @@ class TestRegisteredProblems:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.75, 1.0])
     def test_trig_boundary_traces_vanish_exactly(self, alpha):
         spec = REGISTRY["manufactured:trig"](alpha)
-        t = np.append(build_node_set(BasisParams(0.5, 40)).nodes, 1.0)
+        t = np.append(build_node_set(0.5, 40).nodes, 1.0)
         assert np.all(spec.psi1(t) == 0.0) and np.all(spec.psi2(t) == 0.0)
 
 
@@ -154,8 +154,8 @@ class TestAssemble:
         # n = m = 1: check every entry of Psi = Q_x (x) B - D_x (x) I against the
         # definition index(i,j) = i*(m+1) + j
         spec = example1(0.6)
-        ns_x = build_node_set(BasisParams(0.5, 1))
-        ns_t = build_node_set(BasisParams(0.5, 1))
+        ns_x = build_node_set(0.5, 1)
+        ns_t = build_node_set(0.5, 1)
         ops = build_operator_bundle(ns_x, ns_t, 0.6)
         sys = assemble(spec, ops)
         Qx, Dx, B = ops.Q_x, ops.D_x, ops.rl_frac
@@ -172,8 +172,8 @@ class TestAssemble:
     def test_classical_limit_psi(self):
         # alpha = 1 reduces the fractional factor to the identity
         spec = example1(1.0)
-        ns_x = build_node_set(BasisParams(0.5, 4))
-        ns_t = build_node_set(BasisParams(0.5, 4))
+        ns_x = build_node_set(0.5, 4)
+        ns_t = build_node_set(0.5, 4)
         ops = build_operator_bundle(ns_x, ns_t, 1.0)
         sys = assemble(spec, ops)
         expected = np.kron(ops.Q_x - ops.D_x, np.eye(5))
@@ -199,7 +199,7 @@ class TestAssemble:
 
     def test_alpha_mismatch_rejected(self):
         spec = example1(0.5)
-        ns = build_node_set(BasisParams(0.5, 3))
+        ns = build_node_set(0.5, 3)
         ops = build_operator_bundle(ns, ns, 0.6)
         with pytest.raises(AssemblyError):
             assemble(spec, ops)

@@ -7,7 +7,6 @@ from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
 from fbbmb.basis import (
-    BasisParams,
     ParameterDomainError,
     build_node_set,
     cardinal_matrix,
@@ -22,13 +21,12 @@ def shifted_moment(k, lam):
     return beta_fn(k + lam + 0.5, lam + 0.5)
 
 
-def interpolatory_weights(ns):
-    """Weights of the interpolatory rule on ns's nodes for w(x) = (x(1-x))^(lam-1/2):
-    the integrals of its cardinal functions, by an (n+2)-point Gauss-Jacobi rule
-    (exact for their degree n, and sharing no node with ns). The rule is exact
-    to degree 2n + 1, and its weights are positive, because the nodes are the
-    Gauss nodes of w."""
-    lam = ns.params.lam
+def interpolatory_weights(ns, lam):
+    """Weights of the interpolatory rule on ns's nodes, built at index lam, for
+    w(x) = (x(1-x))^(lam-1/2): the integrals of its cardinal functions, by an
+    (n+2)-point Gauss-Jacobi rule (exact for their degree n, and sharing no node
+    with ns). The rule is exact to degree 2n + 1, and its weights are positive,
+    because the nodes are the Gauss nodes of w."""
     y, w = roots_jacobi(ns.n + 2, lam - 0.5, lam - 0.5)
     # dx-hat = dx/2 and (x-hat(1-x-hat))^(lam-1/2) = ((1-x^2)/4)^(lam-1/2)
     return 2.0 ** (-2.0 * lam) * (w @ cardinal_matrix(ns, (y + 1.0) / 2.0))
@@ -53,57 +51,59 @@ def gegenbauer_roots_mp(k, lam, guesses, dps=30, steps=3):
 
 
 class TestBasisParams:
+    """build_node_set's checks of the Gegenbauer index lam and the degree n."""
+
     def test_lambda_below_window_rejected(self):
         with pytest.raises(ParameterDomainError):
-            BasisParams(-0.5, 3)
+            build_node_set(-0.5, 3)
 
     def test_lambda_above_window_rejected(self):
         with pytest.raises(ParameterDomainError):
-            BasisParams(2.5, 3)
+            build_node_set(2.5, 3)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ParameterDomainError):
-            BasisParams(0.5, -1)
+            build_node_set(0.5, -1)
 
     def test_lambda_star_neighborhood_warns(self):
         with pytest.warns(UserWarning, match="error-amplifying"):
-            BasisParams(-0.14, 3)
+            build_node_set(-0.14, 3)
 
 
 class TestNodeSet:
     def test_single_node_at_half(self):
-        ns = build_node_set(BasisParams(0.5, 0))
+        ns = build_node_set(0.5, 0)
         assert ns.nodes[0] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_single_node_exact(self, lam):
         # the one-point rule sits at the midpoint and carries the whole mass
-        ns = build_node_set(BasisParams(lam, 0))
+        ns = build_node_set(lam, 0)
         np.testing.assert_array_equal(ns.nodes, [0.5])
-        np.testing.assert_allclose(interpolatory_weights(ns), [shifted_moment(0, lam)], rtol=1e-15)
+        np.testing.assert_allclose(interpolatory_weights(ns, lam), [shifted_moment(0, lam)], rtol=1e-15)
         np.testing.assert_array_equal(ns.bary_weights, [1.0])
 
     @pytest.mark.parametrize("lam", [-0.4, 0.5, 2.0])
     def test_nodes_match_high_precision_roots(self, lam):
         n = 40
-        ns = build_node_set(BasisParams(lam, n))
+        ns = build_node_set(lam, n)
         ref = [float((x + 1) / 2) for x in gegenbauer_roots_mp(n + 1, lam, ns.nodes * 2 - 1)]
         assert np.max(np.abs(ns.nodes - ref)) <= 2.3e-16
 
     def test_two_point_legendre_nodes(self):
-        ns = build_node_set(BasisParams(0.5, 1))
+        ns = build_node_set(0.5, 1)
         expected = np.array([(1 - 1 / np.sqrt(3)) / 2, (1 + 1 / np.sqrt(3)) / 2])
         np.testing.assert_allclose(ns.nodes, expected, atol=1e-14)
 
     def test_quadrature_x9(self):
-        ns = build_node_set(BasisParams(0.5, 4))
-        assert interpolatory_weights(ns) @ ns.nodes**9 == pytest.approx(0.1, abs=1e-14)
+        ns = build_node_set(0.5, 4)
+        assert interpolatory_weights(ns, 0.5) @ ns.nodes**9 == pytest.approx(0.1, abs=1e-14)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("n", range(13))
     def test_gauss_exactness(self, lam, n):
-        ns = build_node_set(BasisParams(lam, n))
-        weights = interpolatory_weights(ns)
+        ns = build_node_set(lam, n)
+        weights = interpolatory_weights(ns, lam)
         for k in range(2 * n + 2):
             approx = weights @ ns.nodes**k
             assert approx == pytest.approx(shifted_moment(k, lam), rel=1e-12)
@@ -111,26 +111,26 @@ class TestNodeSet:
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("n", [1, 4, 9, 12])
     def test_weight_mass(self, lam, n):
-        ns = build_node_set(BasisParams(lam, n))
-        weights = interpolatory_weights(ns)
+        ns = build_node_set(lam, n)
+        weights = interpolatory_weights(ns, lam)
         assert weights.sum() == pytest.approx(shifted_moment(0, lam), rel=1e-13)
         assert np.all(weights > 0)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_nodes_interior_sorted_symmetric(self, lam):
-        ns = build_node_set(BasisParams(lam, 9))
+        ns = build_node_set(lam, 9)
         assert np.all(np.diff(ns.nodes) > 0)
         assert ns.nodes[0] > 0 and ns.nodes[-1] < 1
         np.testing.assert_allclose(ns.nodes + ns.nodes[::-1], 1.0, atol=1e-13)
 
     def test_bary_weights_alternate_and_normalized(self):
-        ns = build_node_set(BasisParams(1.5, 10))
+        ns = build_node_set(1.5, 10)
         assert np.max(np.abs(ns.bary_weights)) == pytest.approx(1.0)
         signs = np.sign(ns.bary_weights)
         assert np.all(signs[:-1] * signs[1:] == -1)
 
     def test_large_n_no_overflow(self):
-        ns = build_node_set(BasisParams(0.5, 80))
+        ns = build_node_set(0.5, 80)
         assert np.all(np.isfinite(ns.bary_weights))
         assert np.max(np.abs(ns.bary_weights)) == pytest.approx(1.0)
 
@@ -153,23 +153,23 @@ def interpolate(ns, values, x):
 
 class TestInterpolate:
     def test_constant_reproduction(self):
-        ns = build_node_set(BasisParams(0.5, 5))
+        ns = build_node_set(0.5, 5)
         vals = np.full(6, 3.7)
         for x in [0.0, 0.123, 0.5, 1.0]:
             assert interpolate(ns, vals, x) == pytest.approx(3.7, rel=1e-14)
 
     def test_linear_reproduction(self):
-        ns = build_node_set(BasisParams(0.5, 3))
+        ns = build_node_set(0.5, 3)
         assert interpolate(ns, ns.nodes, 0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_node_hit_returns_stored_value(self):
-        ns = build_node_set(BasisParams(1.0, 4))
+        ns = build_node_set(1.0, 4)
         vals = np.arange(5.0)
         for j, xj in enumerate(ns.nodes):
             assert interpolate(ns, vals, xj) == vals[j]
 
     def test_exp_against_brute_force(self):
-        ns = build_node_set(BasisParams(0.5, 6))
+        ns = build_node_set(0.5, 6)
         vals = np.exp(ns.nodes)
         got = interpolate(ns, vals, 0.5)
         assert got == pytest.approx(brute_force_lagrange(ns.nodes, vals, 0.5), abs=1e-13)
@@ -185,12 +185,12 @@ class TestInterpolate:
     def test_polynomial_projector(self, n, lam, coeffs, x):
         # interpolation reproduces any polynomial of degree <= n
         coeffs = coeffs[: n + 1]
-        ns = build_node_set(BasisParams(lam, n))
+        ns = build_node_set(lam, n)
         p = np.polynomial.Polynomial(coeffs)
         assert interpolate(ns, p(ns.nodes), x) == pytest.approx(p(x), abs=1e-12)
 
     def test_cardinal_matrix_rows(self):
-        ns = build_node_set(BasisParams(0.5, 5))
+        ns = build_node_set(0.5, 5)
         xs = np.array([0.0, 0.25, ns.nodes[2], 1.0])
         L = cardinal_matrix(ns, xs)
         np.testing.assert_allclose(L.sum(axis=1), 1.0, atol=1e-13)

@@ -9,7 +9,7 @@ import pytest
 
 import fbbmb.cli as cli
 from fbbmb.assembly import assemble, compute_aae, evaluate_on_mesh
-from fbbmb.basis import BasisParams, build_node_set
+from fbbmb.basis import build_node_set
 from fbbmb.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -24,7 +24,7 @@ from fbbmb.cli import (
     sweep,
 )
 from fbbmb.opmatrices import build_operator_bundle
-from fbbmb.problems import REGISTRY, get_problem
+from fbbmb.problems import REGISTRY
 from fbbmb.solver import SolveReport, SolverConfig, solve
 
 
@@ -46,9 +46,9 @@ def parse_run_result_csv(text: str) -> list[dict]:
 
 
 def cold_system(cfg):
-    ns_x = build_node_set(BasisParams(cfg.lam, cfg.n))
-    ns_t = build_node_set(BasisParams(cfg.lam, cfg.m))
-    return assemble(get_problem(cfg.problem, cfg.alpha), build_operator_bundle(ns_x, ns_t, cfg.alpha))
+    ns_x = build_node_set(cfg.lam, cfg.n)
+    ns_t = build_node_set(cfg.lam, cfg.m)
+    return assemble(REGISTRY[cfg.problem](cfg.alpha), build_operator_bundle(ns_x, ns_t, cfg.alpha))
 
 
 @pytest.fixture
@@ -70,24 +70,20 @@ class TestProblemRegistry:
     def test_known_names(self):
         assert {"example1", "example2", "manufactured:poly", "manufactured:trig"} <= set(REGISTRY)
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown problem"):
-            get_problem("nope", 0.5)
-
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_every_problem_has_an_exact_solution(self, name):
         # `run` measures every error against `exact`; it has no other branch
         assert REGISTRY[name](0.5).exact is not None
 
     def test_example1_boundary_values(self):
-        spec = get_problem("example1", 0.5)
+        spec = REGISTRY["example1"](0.5)
         # u = x^4 (x-1) t^1.5 vanishes on x=0, x=1, t=0
         assert spec.exact(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
         assert spec.exact(0.0, 0.7) == pytest.approx(0.0, abs=1e-15)
         assert spec.f(0.0, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_example2_exact_values(self):
-        spec = get_problem("example2", 0.5)
+        spec = REGISTRY["example2"](0.5)
         assert spec.exact(0.5, 1.0) == pytest.approx(math.e**0.5, rel=1e-12)
         assert spec.exact(0.5, 1.0) == pytest.approx(1.6487212707, abs=1e-9)
         assert spec.psi2(0.5) == pytest.approx(0.25 * math.e, rel=1e-14)
@@ -143,9 +139,9 @@ class TestRun:
     @pytest.mark.parametrize("mesh", ["slice=1.0", "uniform101"])
     def test_grid_rows_bit_equal_to_per_point_rows(self, mesh):
         res = run(RunConfig(problem="example2", alpha=0.5, n=6, m=6, error_mesh=mesh))
-        spec = get_problem("example2", 0.5)
-        ns_x = build_node_set(BasisParams(0.5, 6))
-        ns_t = build_node_set(BasisParams(0.5, 6))
+        spec = REGISTRY["example2"](0.5)
+        ns_x = build_node_set(0.5, 6)
+        ns_t = build_node_set(0.5, 6)
         sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, 0.5))
         xs = np.linspace(0.0, 1.0, 101)
         ts = xs if mesh == "uniform101" else np.array([1.0])
@@ -167,7 +163,7 @@ class TestRun:
         sys_d = cold_system(cfg)
         u = solve(sys_d, cfg.solver).u
         x, t = sys_d.ns_x.nodes, sys_d.ns_t.nodes
-        exact = get_problem(problem, 0.5).exact(x[:, None], t[None, :]).reshape(-1)
+        exact = REGISTRY[problem](0.5).exact(x[:, None], t[None, :]).reshape(-1)
         assert res.grid is None
         assert res.aae == compute_aae(u, exact)
         assert res.max_err == float(np.max(np.abs(u - exact)))
@@ -215,11 +211,13 @@ class TestCascade:
         (15, 15, [15, 15]),  # 7 < MIN_COARSE: cold
     ])
     def test_halving_schedule(self, monkeypatch, n, m, degrees):
+        # at a non-default lambda, which every level's node sets must get
+        cfg = RunConfig(problem="example2", n=n, m=m, lam=1.0)
         built = []
 
-        def recording(params):
-            built.append(params.n)
-            return build_node_set(params)
+        def recording(lam, n):
+            built.append((lam, n))
+            return build_node_set(lam, n)
 
         def converged_zero(sys_d, solver_cfg, v0=None):
             v = np.zeros(sys_d.F.size)
@@ -227,8 +225,8 @@ class TestCascade:
 
         monkeypatch.setattr(cli, "build_node_set", recording)
         monkeypatch.setattr(cli, "solve", converged_zero)
-        run(RunConfig(problem="example2", n=n, m=m))
-        assert built == degrees
+        run(cfg)
+        assert built == [(cfg.lam, d) for d in degrees]
 
     def test_unconverged_coarse_solve_falls_back_to_cold_start(self, monkeypatch):
         cfg = RunConfig(problem="example2", alpha=0.5, n=32, m=32)

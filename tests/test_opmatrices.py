@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbbmb.basis import BasisParams, ParameterDomainError, build_node_set
+from fbbmb.basis import ParameterDomainError, build_node_set
 from fbbmb.opmatrices import (
     DegenerateGridError,
     build_operator_bundle,
@@ -17,18 +17,18 @@ from oracles import caputo_power_rule, fd_derivative, rlfi_power_rule
 
 @pytest.fixture
 def ns5():
-    return build_node_set(BasisParams(0.5, 5))
+    return build_node_set(0.5, 5)
 
 
 @pytest.fixture
 def ns8():
-    return build_node_set(BasisParams(0.5, 8))
+    return build_node_set(0.5, 8)
 
 
 class TestDiffMatrix:
     def test_rejects_single_node(self):
         with pytest.raises(DegenerateGridError):
-            build_sgdm(build_node_set(BasisParams(0.5, 0)))
+            build_sgdm(build_node_set(0.5, 0))
 
     def test_rows_sum_to_zero(self, ns8):
         D = build_sgdm(ns8)
@@ -56,12 +56,12 @@ class TestIntMatrix:
         np.testing.assert_allclose(Q @ np.ones(9), ns8.nodes, atol=1e-12)
 
     def test_cubic_antiderivative(self):
-        ns = build_node_set(BasisParams(0.5, 4))
+        ns = build_node_set(0.5, 4)
         Q = build_sgim(ns)
         np.testing.assert_allclose(Q @ ns.nodes**3, ns.nodes**4 / 4, atol=1e-13)
 
     def test_single_node_grid(self):
-        ns = build_node_set(BasisParams(0.5, 0))
+        ns = build_node_set(0.5, 0)
         Q = build_sgim(ns)
         np.testing.assert_allclose(Q, [[ns.nodes[0]]], atol=1e-15)
 
@@ -75,7 +75,7 @@ class TestIntMatrix:
 
     @pytest.mark.parametrize("n", [40, 48, 64])
     def test_exact_for_top_degrees_on_large_grids(self, n):
-        ns = build_node_set(BasisParams(0.5, n))
+        ns = build_node_set(0.5, n)
         Q = build_sgim(ns)
         x = ns.nodes
         for k in (n - 2, n - 1, n):
@@ -88,7 +88,7 @@ class TestIntRowVector:
         assert P.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_identity_data(self):
-        ns = build_node_set(BasisParams(0.5, 3))
+        ns = build_node_set(0.5, 3)
         P = build_sgirv(ns)
         assert P[0] @ ns.nodes == pytest.approx(0.5, abs=1e-13)
 
@@ -98,7 +98,7 @@ class TestIntRowVector:
 
     @pytest.mark.parametrize("n", [40, 48, 64])
     def test_exact_for_top_degrees_on_large_grids(self, n):
-        ns = build_node_set(BasisParams(0.5, n))
+        ns = build_node_set(0.5, n)
         P = build_sgirv(ns)
         for k in (n - 2, n - 1, n):
             assert P[0] @ ns.nodes**k == pytest.approx(1.0 / (k + 1), abs=1e-12)
@@ -156,7 +156,7 @@ class TestFracIntMatrix:
     @pytest.mark.parametrize("m", [40, 48])
     def test_exact_for_top_degrees_on_large_grids(self, m, beta):
         # the rule is sized from m, so the degree-m interpolant stays exact
-        ns = build_node_set(BasisParams(0.5, m))
+        ns = build_node_set(0.5, m)
         B = build_rl_fsgim(ns, beta)
         for k in (m - 2, m - 1, m):
             expected = np.array([rlfi_power_rule(k, beta, t) for t in ns.nodes])
@@ -184,7 +184,7 @@ class TestCaputoMatrix:
         expected = math.gamma(2.5) / math.gamma(2.0) * ns8.nodes
         err8 = np.max(np.abs(A @ ns8.nodes**1.5 - expected))
         assert err8 < 1e-2
-        ns32 = build_node_set(BasisParams(0.5, 32))
+        ns32 = build_node_set(0.5, 32)
         A32 = caputo(ns32, 0.5)
         expected32 = math.gamma(2.5) / math.gamma(2.0) * ns32.nodes
         err32 = np.max(np.abs(A32 @ ns32.nodes**1.5 - expected32))

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fbbmb.basis import BasisParams, build_node_set, cardinal_matrix
+from fbbmb.basis import build_node_set, cardinal_matrix
 from fbbmb.opmatrices import build_operator_bundle, build_sgdm
 from oracles import (
     OracleConfig,
@@ -102,7 +102,7 @@ class TestCaputoMatrixAgainstOracle:
         # the matrix realizes the exact Caputo of the nodal interpolant; on
         # t^1.5 data the quadrature oracle applied to the interpolant's
         # derivative must agree to near machine precision
-        ns = build_node_set(BasisParams(0.5, 8))
+        ns = build_node_set(0.5, 8)
         A = build_operator_bundle(ns, ns, 0.5).caputo
         data = ns.nodes**1.5
         dp = build_sgdm(ns) @ data

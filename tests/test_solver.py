@@ -8,7 +8,7 @@ from scipy.linalg import get_lapack_funcs
 import fbbmb.solver
 
 from fbbmb.assembly import assemble, jacobian, residual, vjp
-from fbbmb.basis import BasisParams, build_node_set
+from fbbmb.basis import build_node_set
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import example1, example2
 from fbbmb.solver import SolverConfig, newton_step, solve
@@ -17,8 +17,8 @@ getrf, trcon, trtrs = get_lapack_funcs(("getrf", "trcon", "trtrs"), dtype=float)
 
 
 def make_system(spec, n, m):
-    ns_x = build_node_set(BasisParams(0.5, n))
-    ns_t = build_node_set(BasisParams(0.5, m))
+    ns_x = build_node_set(0.5, n)
+    ns_t = build_node_set(0.5, m)
     ops = build_operator_bundle(ns_x, ns_t, spec.alpha)
     return assemble(spec, ops)
 
@@ -46,6 +46,7 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"method": "bfgs"},
             {"tol_residual": float("nan")},
+            {"tol_residual": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -309,7 +310,7 @@ class TestMemory:
         # the system holds no N x N array, and the LU buffer, (N+m+1) x N, is
         # the only O(N^2) array a solve holds
         spec = example2(0.5)
-        ns = build_node_set(BasisParams(0.5, 20))
+        ns = build_node_set(0.5, 20)
         ops = build_operator_bundle(ns, ns, spec.alpha)
         N = 21 * 21
         tracemalloc.start()
