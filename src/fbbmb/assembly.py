@@ -164,7 +164,7 @@ def evaluate_on_mesh(
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     for name, arr in (("xs", xs), ("ts", ts)):
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects nan
             raise ValueError(f"{name} contains points outside [0, 1]")
     U = np.asarray(u_nodal).reshape(ns_x.n + 1, ns_t.n + 1)
     return cardinal_matrix(ns_x, xs) @ U @ cardinal_matrix(ns_t, ts).T

@@ -1,10 +1,15 @@
 """Shifted Gegenbauer-Gauss node sets on [0, 1] with barycentric weights, built
-by `build_node_set` from the Gegenbauer index lam and the grid degree n."""
+by `build_node_set` from the Gegenbauer index lam and the grid degree n.
+
+A node set depends on (lam, n) alone, so each is built once per process and
+shared: `build_node_set` checks its arguments on every call, then returns the
+memoised `NodeSet`, whose arrays are read-only."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import roots_gegenbauer
@@ -34,10 +39,11 @@ def check_lambda(lam: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSet:
     """SGG nodes in (0, 1), the Gauss nodes of w(x) = (x(1-x))^(lam-1/2), with
-    normalized barycentric weights; the grid degree is n = nodes.size - 1."""
+    normalized barycentric weights; the grid degree is n = nodes.size - 1.
+    Node sets compare and hash by identity, one per (lam, n)."""
 
     nodes: np.ndarray
     bary_weights: np.ndarray
@@ -60,13 +66,23 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 def build_node_set(lam: float, n: int) -> NodeSet:
     """The n + 1 SGG nodes of index lam on [0, 1]: the nodes of scipy's
-    Gauss-Gegenbauer rule on [-1, 1] under the affine shift x -> (x + 1)/2."""
+    Gauss-Gegenbauer rule on [-1, 1] under the affine shift x -> (x + 1)/2.
+    Repeated calls with equal (lam, n) return the same read-only NodeSet."""
     check_lambda(lam)
+    if not float(n).is_integer():
+        raise ParameterDomainError(f"grid degree n={n} must be an integer")
     if n < 0:
         raise ParameterDomainError(f"grid degree n={n} must be nonnegative")
+    return _node_set(float(lam), int(n))
+
+
+@cache
+def _node_set(lam: float, n: int) -> NodeSet:
     x, _ = roots_gegenbauer(n + 1, lam)
     nodes = (x + 1.0) / 2.0
-    return NodeSet(nodes, barycentric_weights(nodes))
+    ns = NodeSet(nodes, barycentric_weights(nodes))
+    nodes.flags.writeable = ns.bary_weights.flags.writeable = False
+    return ns
 
 
 def cardinal_matrix(ns: NodeSet, xs: np.ndarray) -> np.ndarray:

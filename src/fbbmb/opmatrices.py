@@ -4,11 +4,19 @@ and the Riemann-Liouville / Caputo fractional matrices.
 Every integration matrix is one quadrature of the cardinal functions over
 [0, limit] (`_rl_rows`): the cumulative matrix is order 1 on the nodes, the
 row vector order 1 on [0, 1], and the RL matrix order beta on the nodes. The
-Caputo matrix is formed only in `build_operator_bundle`."""
+Caputo matrix is formed only in `build_operator_bundle`.
+
+The alpha-free operators are built once per process: the Gauss-Jacobi rule is
+memoised per (points, beta), and `build_sgdm`, `build_sgim` and `build_sgirv`
+per node set, which `basis.build_node_set` memoises per (lam, n); their arrays
+are read-only. Everything that depends on alpha (`build_rl_fsgim`, the bundle's
+`rl_frac` and `caputo`) is built afresh on each call, so an alpha sweep does not
+grow the caches by an (m+1) x (m+1) matrix per alpha."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gamma
 
 import numpy as np
@@ -21,6 +29,12 @@ class DegenerateGridError(ValueError):
     """Raised when a grid is too small for the requested operator."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
 def build_sgdm(ns: NodeSet) -> np.ndarray:
     """First-order differentiation matrix from barycentric weights, with the
     negative-sum trick on the diagonal."""
@@ -32,7 +46,15 @@ def build_sgdm(ns: NodeSet) -> np.ndarray:
     D = (w[None, :] / w[:, None]) / dx
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
-    return D
+    return _read_only(D)
+
+
+@cache
+def _gauss_jacobi(points: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] and weights, scaled by 2^-beta / Gamma(beta), of the
+    points-point Gauss-Jacobi rule with weight (1-s)^(beta-1)."""
+    s, sw = roots_jacobi(points, beta - 1.0, 0.0)
+    return _read_only((s + 1.0) / 2.0), _read_only(sw * 2.0 ** (-beta) / gamma(beta))
 
 
 def _rl_rows(ns: NodeSet, beta: float, limits: np.ndarray) -> np.ndarray:
@@ -46,23 +68,23 @@ def _rl_rows(ns: NodeSet, beta: float, limits: np.ndarray) -> np.ndarray:
     Gegenbauer index: any s^(lam-1/2) reweighting would need a non-polynomial
     compensation factor and lose that exactness.
     """
-    s, sw = roots_jacobi((ns.n + 2) // 2, beta - 1.0, 0.0)
-    s = (s + 1.0) / 2.0
-    sw = sw * 2.0 ** (-beta) / gamma(beta)
+    s, sw = _gauss_jacobi((ns.n + 2) // 2, beta)
     L = cardinal_matrix(ns, np.outer(limits, s).ravel()).reshape(limits.size, s.size, -1)
     return limits[:, None] ** beta * (sw @ L)
 
 
+@cache
 def build_sgim(ns: NodeSet) -> np.ndarray:
     """Cumulative integration matrix: Q[i, j] = integral of the j-th cardinal
     function over [0, x_i]."""
-    return _rl_rows(ns, 1.0, ns.nodes)
+    return _read_only(_rl_rows(ns, 1.0, ns.nodes))
 
 
+@cache
 def build_sgirv(ns: NodeSet) -> np.ndarray:
     """Full-interval integration row vector: P[0, j] = integral of the j-th
     cardinal function over [0, 1]."""
-    return _rl_rows(ns, 1.0, np.array([1.0]))
+    return _read_only(_rl_rows(ns, 1.0, np.array([1.0])))
 
 
 def build_rl_fsgim(ns_t: NodeSet, beta: float) -> np.ndarray:

@@ -368,6 +368,15 @@ class TestEvaluateOnMesh:
         with pytest.raises(ValueError, match="outside"):
             evaluate_on_mesh(np.zeros(9), sys.ns_x, sys.ns_t, np.array([1.1]), np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["xs", "ts"])
+    def test_non_finite_rejected(self, bad, axis):
+        sys = make_system(example1(0.5), 2, 2)
+        pts = {"xs": np.array([0.5]), "ts": np.array([0.5])}
+        pts[axis] = np.array([0.25, bad])
+        with pytest.raises(ValueError, match=f"{axis} contains points outside"):
+            evaluate_on_mesh(np.zeros(9), sys.ns_x, sys.ns_t, pts["xs"], pts["ts"])
+
 
 class TestComputeAae:
     def test_known_value(self):

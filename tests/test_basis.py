@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
-from scipy.special import roots_jacobi
+from scipy.special import roots_gegenbauer, roots_jacobi
 
 from fbbmb.basis import (
     ParameterDomainError,
@@ -54,20 +54,60 @@ class TestBasisParams:
     """build_node_set's checks of the Gegenbauer index lam and the degree n."""
 
     def test_lambda_below_window_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            build_node_set(-0.5, 3)
+        for _ in range(2):  # a rejected lam is never cached
+            with pytest.raises(ParameterDomainError):
+                build_node_set(-0.5, 3)
 
     def test_lambda_above_window_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            build_node_set(2.5, 3)
+        for _ in range(2):
+            with pytest.raises(ParameterDomainError):
+                build_node_set(2.5, 3)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ParameterDomainError):
             build_node_set(0.5, -1)
 
+    @pytest.mark.parametrize("n", [4.5, float("nan"), float("inf")])
+    def test_non_integral_degree_rejected(self, n):
+        with pytest.raises(ParameterDomainError, match="integer"):
+            build_node_set(0.5, n)
+
     def test_lambda_star_neighborhood_warns(self):
-        with pytest.warns(UserWarning, match="error-amplifying"):
-            build_node_set(-0.14, 3)
+        # the second call is a cache hit and still warns
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="error-amplifying"):
+                build_node_set(-0.14, 3)
+
+
+class TestNodeSetCache:
+    """build_node_set returns one shared, read-only NodeSet per (lam, n)."""
+
+    def test_repeat_returns_same_object(self):
+        assert build_node_set(0.5, 6) is build_node_set(0.5, 6)
+        assert build_node_set(0.5, 6) is not build_node_set(1.0, 6)
+
+    def test_integral_degrees_share_one_entry(self):
+        ns = build_node_set(0.5, 4)
+        assert build_node_set(0.5, 4.0) is ns
+        assert build_node_set(np.float64(0.5), np.int64(4)) is ns
+
+    @pytest.mark.parametrize("field", ["nodes", "bary_weights"])
+    def test_arrays_read_only(self, field):
+        arr = getattr(build_node_set(0.5, 5), field)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("n", [0, 3, 16])
+    def test_nodes_equal_uncached_rule(self, lam, n):
+        build_node_set(lam, n)  # the second call below reads the cache
+        expected = (roots_gegenbauer(n + 1, lam)[0] + 1) / 2
+        assert np.array_equal(build_node_set(lam, n).nodes, expected)
+
+    def test_compares_by_identity(self):
+        a, b = build_node_set(0.5, 3), build_node_set(0.5, 4)
+        assert a == a and a != b
+        assert len({a, b, build_node_set(0.5, 3)}) == 2
 
 
 class TestNodeSet:

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import fbbmb.basis as basis
 import fbbmb.cli as cli
+import fbbmb.opmatrices as opmatrices
 from fbbmb.assembly import assemble, compute_aae, evaluate_on_mesh
 from fbbmb.basis import build_node_set
 from fbbmb.cli import (
@@ -183,6 +185,22 @@ class TestRun:
         monkeypatch.setattr(cli, "evaluate_on_mesh", recording)
         run(RunConfig(problem="example2", alpha=0.5, n=32, m=32, error_mesh=mesh))
         assert calls == [(8, 8, 17, 17), (16, 16, 33, 33), last]
+
+
+class TestRepeatedRuns:
+    """Node sets and alpha-free operators are memoised per process, so a run
+    on a grid this process has built before reads them from the caches."""
+
+    @pytest.mark.parametrize("problem, alpha", [("example1", 0.5), ("example2", 0.9)])
+    def test_warm_run_bit_identical_to_cold(self, problem, alpha):
+        for f in (basis._node_set, opmatrices.build_sgdm, opmatrices.build_sgim,
+                  opmatrices.build_sgirv, opmatrices._gauss_jacobi):
+            f.cache_clear()
+        cfg = RunConfig(problem=problem, alpha=alpha, n=16, m=16)  # cascades from 8 x 8
+        cold, warm = run(cfg), run(cfg)
+        fields = ("aae", "max_err", "iterations", "converged")
+        assert [getattr(warm, k) for k in fields] == [getattr(cold, k) for k in fields]
+        assert cold.converged
 
 
 class TestCascade:

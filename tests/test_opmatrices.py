@@ -214,3 +214,36 @@ class TestOperatorBundle:
         assert ops.P_x.shape == (1, 6)
         assert ops.Q_t.shape == (9, 9)
         assert ops.caputo.shape == (9, 9)
+
+
+class TestOperatorCache:
+    """The alpha-free operators are memoised per node set and read-only; the
+    alpha-dependent ones are built afresh on each call."""
+
+    @pytest.mark.parametrize("builder", [build_sgdm, build_sgim, build_sgirv])
+    def test_repeat_returns_same_read_only_array(self, ns8, builder):
+        A = builder(ns8)
+        assert builder(ns8) is A
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 0] = 0.0
+
+    @pytest.mark.parametrize("builder", [build_sgdm, build_sgim, build_sgirv])
+    @pytest.mark.parametrize("lam, n", [(0.5, 8), (1.5, 13), (0.0, 32)])
+    def test_cached_equals_uncached(self, builder, lam, n):
+        ns = build_node_set(lam, n)
+        assert np.array_equal(builder(ns), builder.__wrapped__(ns))
+
+    def test_alpha_dependent_matrices_not_cached(self, ns8):
+        a, b = build_operator_bundle(ns8, ns8, 0.5), build_operator_bundle(ns8, ns8, 0.5)
+        assert a.D_x is b.D_x and a.Q_t is b.Q_t
+        for name in ("rl_frac", "caputo"):
+            assert getattr(a, name) is not getattr(b, name)
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert build_rl_fsgim(ns8, 0.5) is not build_rl_fsgim(ns8, 0.5)
+
+    def test_alpha_sweep_does_not_grow_operator_caches(self, ns5, ns8):
+        build_operator_bundle(ns5, ns8, 0.5)
+        sizes = [f.cache_info().currsize for f in (build_sgdm, build_sgim, build_sgirv)]
+        for alpha in (0.1, 0.3, 0.7, 0.9, 1.0):
+            build_operator_bundle(ns5, ns8, alpha)
+        assert [f.cache_info().currsize for f in (build_sgdm, build_sgim, build_sgirv)] == sizes
