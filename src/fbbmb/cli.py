@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}; known: {sorted(REGISTRY)}")
         if not 0.0 < self.alpha <= 1.0:  # also rejects nan
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
+        if not (float(self.n).is_integer() and float(self.m).is_integer()):  # also nan, inf
+            raise ValueError(f"grid degrees n={self.n}, m={self.m} must be integers")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
         check_lambda(self.lam)

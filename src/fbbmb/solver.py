@@ -9,35 +9,38 @@ not vanish at the minimizer. Convergence is declared on a residual root,
 ||G||_inf <= tol_residual, or at the rounding floor (below), which is where a
 least-squares minimizer with G != 0 stops.
 
-There is one iteration loop. Each pass tests the residual, takes the
-Gauss-Newton step, tests the rounding floor, shortens the step until it lowers
-the merit, tests the step size, and last the iteration cap. `cfg.method` picks
-only the shortening (Nocedal & Wright, Numerical Optimization, ch. 10-11):
-"newton" halves the step up to 30 times (`_line_search`); "trust_region"
-blends it with the Cauchy step inside a radius carried from one iteration to
-the next (`_dogleg`). The dogleg's first radius is the length of the first
+There is one iteration loop. Each pass tests the merit against its rounding
+level, takes the Gauss-Newton step, tests the rounding floor, shortens the step
+until it lowers the merit, and tests the residual, the step size, and last the
+iteration cap. `cfg.method` picks only the shortening (Nocedal & Wright,
+Numerical Optimization, ch. 10-11): "newton" halves the step up to 30 times
+(`_line_search`); "trust_region" blends it with the Cauchy step inside a
+radius carried from one iteration to the next (`_dogleg`). The dogleg's first radius is the length of the first
 Gauss-Newton step, or of the Cauchy step when that step is not finite (More,
 "The Levenberg-Marquardt algorithm", 1978), so a full Gauss-Newton step is
 tried first and the dogleg takes Newton's iterations where those steps succeed.
 
-The dense Jacobian [J(v); C] exists only inside a linear step: `newton_step`
-builds it, LAPACK getrf overwrites it with its LU factors, and it is dropped
-when the step returns. It is the only O(N^2) array a step holds: the
+The dense Jacobian [J(v); C] is built only for a linear step: `newton_step`
+builds it and LAPACK getrf overwrites it with its LU factors. `solve` holds
+those factors until the next iteration, for the rounding-level stop's last
+correction (below), and drops them before the next Jacobian is built and when
+it returns, so that buffer is the only O(N^2) array a solve holds: the
 condition estimate and the triangular solves read U and L1 where getrf left
 them, as the top N rows of that (N+m+1) x N buffer. Everything else the loop
 needs of J (J^T G for the dogleg's gradient, J p for predicted decreases)
-comes from the matrix-free products `jvp` and `vjp`, so no Jacobian is held
-between steps or built after the last one.
+comes from the matrix-free products `jvp` and `vjp`.
 
 Each Gauss-Newton step is a rectangular-LU least-squares solve (Peters &
 Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
 P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
 min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
 so it is solved through its (m+1) x (m+1) normal equations by Cholesky (posv).
-Back-substitution through L1 and U gives the step. When LU cannot give a
-reliable step (an exact zero pivot, rcond(U) by dtrcon below eps * rows, or a
-posv failure), J is built again and the step is the minimum-norm solution by QR
-with column pivoting (LAPACK gelsy); the report warns if J has lost rank.
+Back-substitution through L1 and U gives the step. `_lu_factor` takes getrf,
+dtrcon and B^T; `_lu_step` takes laswp, posv and the two triangular solves.
+When LU cannot give a reliable step (an exact zero pivot, rcond(U) by dtrcon
+below eps * rows, or a posv failure), J is built again and the step is the
+minimum-norm solution by QR with column pivoting (LAPACK gelsy); the report
+warns if J has lost rank.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
@@ -45,6 +48,12 @@ larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 residual, Higham ch. 3, with ||Psi||_inf bounded through its Kronecker factors),
 no further iteration can be told from roundoff. The loop then takes the full
 step unless it raises the merit, and stops converged with stop_reason "floor".
+The level is computed once per iteration, before any Jacobian. As the exact
+step's predicted decrease 0.5 ||P_J G||^2 is never above the merit 0.5 ||G||^2,
+a merit already within the level means the floor test would pass: the loop
+then stops "floor" without factoring J(v), after the step that the held LU of
+the previous iterate gives for G, unless that step raises the merit. A start
+at rounding level (a cascade's interpolated solution) so stops after 0 steps.
 The floor scales with ||Psi|| and ||v||; an absolute bound on ||J^T G|| would
 not, since ||J|| grows like n^2.
 """
@@ -124,10 +133,10 @@ class SolveReport:
 
     `final_residual` is ||G||_inf at `v`, the measure the "residual" stop tests.
     `stop_reason` names the test that ended the iteration. Converged: "residual"
-    (||G||_inf <= tol_residual), "floor" (the step's predicted decrease is below
-    the merit's rounding level). Not converged: "step" (step below TOL_STEP),
-    "stagnation" (30 halvings found no decrease), "max_iters",
-    "radius_underflow" (trust radius below MIN_TRUST_RADIUS)."""
+    (||G||_inf <= tol_residual), "floor" (the merit, or the step's predicted
+    decrease, is within the merit's rounding level). Not converged: "step"
+    (step below TOL_STEP), "stagnation" (30 halvings found no decrease),
+    "max_iters", "radius_underflow" (trust radius below MIN_TRUST_RADIUS)."""
 
     v: np.ndarray
     u: np.ndarray
@@ -143,26 +152,44 @@ class SolveReport:
 
 
 def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[str],
-                k: int) -> np.ndarray:
-    """min ||J p + G|| for the Jacobian J at v by rectangular LU (see the module
-    docstring). J is built here and factored in place, and every later use reads
-    the factors from that one buffer."""
+                k: int) -> tuple[np.ndarray, tuple | None]:
+    """(p, factors): p minimizes ||J p + G|| for the Jacobian J at v, by
+    rectangular LU (see the module docstring). `factors` holds that LU for
+    `_lu_step`, or is None when the minimum-norm handler gave p."""
+    factors = _lu_factor(sys, v)
+    step = None if factors is None else _lu_step(factors, G)
+    if step is None:
+        factors = None  # free the LU, which overwrote J, before J is built again
+        return _min_norm_step(jacobian(sys, v), G, warns, k), None
+    return step, factors
+
+
+def _lu_factor(sys, v):
+    """(lu, piv, B^T) of [J(v); C], factored in place in the buffer `jacobian`
+    returns, or None when LU cannot give a reliable step."""
     J = jacobian(sys, v)
-    M, N = J.shape
+    N = J.shape[1]
     # the top N rows of lu hold the unit L1 below the diagonal and U on and
-    # above it; trtrs reads that N x N block in place (its lda is M)
+    # above it; trcon and trtrs read that N x N block in place (their lda is M)
     lu, piv, info = _getrf(J, overwrite_a=1)
-    if not (info > 0 or _trcon(lu, N)[0] < EPS * M):
-        Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
-        c = _laswp(-G, piv)
-        c1, c2 = c[:N], c[N:]
-        _, s, info = _posv(Bt.T @ Bt + np.eye(M - N), Bt.T @ c1 - c2)
-        if info == 0:
-            y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
-            step, _ = _trtrs(lu, y)
-            return step
-    del J, lu  # the factors overwrote J; the handler needs J itself
-    return _min_norm_step(jacobian(sys, v), G, warns, k)
+    if info > 0 or _trcon(lu, N)[0] < EPS * J.shape[0]:
+        return None
+    Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
+    return lu, piv, Bt
+
+
+def _lu_step(factors, G):
+    """min ||J p + G|| from the factors of J, or None when posv fails."""
+    lu, piv, Bt = factors
+    N = lu.shape[1]
+    c = _laswp(-G, piv)
+    c1, c2 = c[:N], c[N:]
+    _, s, info = _posv(Bt.T @ Bt + np.eye(Bt.shape[1]), Bt.T @ c1 - c2)
+    if info != 0:
+        return None
+    y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
+    step, _ = _trtrs(lu, y)
+    return step
 
 
 def _min_norm_step(J, G, warns, k):
@@ -185,15 +212,20 @@ def _floor_scale(sys: DiscreteSystem) -> tuple[float, float]:
     return float(psi_bound), float(np.max(np.abs(sys.F)))
 
 
-def _at_floor(sys, v, G, step, scale):
+def _rounding_level(v, G, scale):
+    """The rounding level of the merit at v: ||G||_2 sqrt(rows) eps
+    (||Psi||_inf ||v||_inf + ||F||_inf)."""
+    psi_norm, f_norm = scale
+    return (float(np.linalg.norm(G)) * np.sqrt(G.size) * EPS
+            * (psi_norm * float(np.max(np.abs(v))) + f_norm))
+
+
+def _at_floor(sys, v, step, level):
     """Whether the full step's predicted decrease is within the merit's
     rounding level; never for a non-finite step."""
     if not np.all(np.isfinite(step)):
         return False
-    psi_norm, f_norm = scale
     Jp = jvp(sys, v, step)
-    level = (np.linalg.norm(G) * np.sqrt(G.size) * EPS
-             * (psi_norm * np.max(np.abs(v)) + f_norm))
     return 0.5 * float(Jp @ Jp) <= level
 
 
@@ -279,17 +311,28 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
     v = np.zeros(sys.F.size) if v0 is None else np.array(v0, dtype=float)
     warns: list[str] = []
     radius = None
+    factors = None  # the LU of the last Jacobian, held until the next is built
     G = residual(sys, v)
     k = 0
     reason = _stop_reason(G, k, np.inf, cfg)
     while reason is None:
-        step = newton_step(sys, v, G, warns, k)
-        if _at_floor(sys, v, G, step, scale):
-            # take the full step unless it raises the merit
-            v_new = v + step
-            G_new = residual(sys, v_new)
-            if _merit(G_new) <= _merit(G):
-                v, G, k = v_new, G_new, k + 1
+        level = _rounding_level(v, G, scale)
+        at_level = _merit(G) <= level
+        if at_level:
+            # the floor test would pass at v: rather than factor J(v) to
+            # confirm it, finish with the step of the LU held from the last
+            # iterate
+            step = None if factors is None else _lu_step(factors, G)
+        else:
+            factors = None  # free the last LU before the next Jacobian is built
+            step, factors = newton_step(sys, v, G, warns, k)
+        if at_level or _at_floor(sys, v, step, level):
+            # take the full step unless it is missing or raises the merit
+            if step is not None and np.all(np.isfinite(step)):
+                v_new = v + step
+                G_new = residual(sys, v_new)
+                if _merit(G_new) <= _merit(G):
+                    v, G, k = v_new, G_new, k + 1
             reason = "floor"
             break
         if cfg.method == "newton":

@@ -1,16 +1,18 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
+from scipy.special import gamma
 
 import fbbmb.solver
 
-from fbbmb.assembly import assemble, jacobian, residual, vjp
+from fbbmb.assembly import assemble, jacobian, jvp, residual, vjp
 from fbbmb.basis import build_node_set
 from fbbmb.opmatrices import build_operator_bundle
-from fbbmb.problems import example1, example2
+from fbbmb.problems import REGISTRY, example1, example2, make_separable_problem
 from fbbmb.solver import SolverConfig, newton_step, solve
 
 getrf, trcon, trtrs = get_lapack_funcs(("getrf", "trcon", "trtrs"), dtype=float)
@@ -68,7 +70,7 @@ class TestLeastSquaresStep:
         v = np.zeros(sys8.F.size)
         G = residual(sys8, v)
         warns = []
-        step = newton_step(sys8, v, G, warns, 0)
+        step, _ = newton_step(sys8, v, G, warns, 0)
         oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
         assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
         assert warns == []
@@ -82,7 +84,8 @@ class TestLeastSquaresStep:
         # LU overwrites it and the handler must build its own
         monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(A, order="F"))
         warns = []
-        step = newton_step(sys_ex1, np.zeros(N), -b, warns, 3)
+        step, factors = newton_step(sys_ex1, np.zeros(N), -b, warns, 3)
+        assert factors is None
         np.testing.assert_allclose(step, np.linalg.pinv(A) @ b, rtol=1e-10, atol=1e-12)
         assert warns == [f"iteration 3: Jacobian rank 20 < {N}"]
 
@@ -98,7 +101,7 @@ class TestRectangularLuStep:
         sys_n = make_system(factory(0.5), n, n)
         v = np.zeros(sys_n.F.size)
         G = residual(sys_n, v)
-        step = newton_step(sys_n, v, G, [], 0)
+        step, _ = newton_step(sys_n, v, G, [], 0)
         oracle, *_ = np.linalg.lstsq(jacobian(sys_n, v), -G, rcond=None)
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -110,8 +113,9 @@ class TestRectangularLuStep:
         v = 0.1 * np.ones(sys8.F.size)
         G = residual(sys8, v)
         warns = []
-        step = newton_step(sys8, v, G, warns, 0)
+        step, factors = newton_step(sys8, v, G, warns, 0)
         oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
+        assert factors is None
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert warns == []
 
@@ -125,7 +129,9 @@ class TestRectangularLuStep:
         expected = fbbmb.solver._min_norm_step(jacobian(sys8, v), G, [], 0)
         monkeypatch.setattr(fbbmb.solver, "_posv", lambda a, b: (a, b, 1))
         warns = []
-        assert np.array_equal(newton_step(sys8, v, G, warns, 0), expected)
+        step, factors = newton_step(sys8, v, G, warns, 0)
+        assert factors is None
+        assert np.array_equal(step, expected)
         assert warns == []
 
 
@@ -224,7 +230,8 @@ class TestStopReasons:
 
     def test_exhausted_line_search_rejects_trial_point(self, sys_ex2, monkeypatch):
         def uphill(sys, v, G, warns, k):
-            return -newton_step(sys, v, G, warns, k)
+            step, factors = newton_step(sys, v, G, warns, k)
+            return -step, factors
 
         monkeypatch.setattr(fbbmb.solver, "newton_step", uphill)
         v0 = np.zeros(sys_ex2.F.size)
@@ -272,14 +279,92 @@ class TestDoglegRadius:
 
         def nan_first(sys, v, G, warns, k):
             calls.append(k)
-            step = newton_step(sys, v, G, warns, k)
-            return np.full_like(step, np.nan) if len(calls) == 1 else step
+            step, factors = newton_step(sys, v, G, warns, k)
+            return (np.full_like(step, np.nan) if len(calls) == 1 else step), factors
 
         base = solve(sys_ex2, SolverConfig(method="trust_region"))
         monkeypatch.setattr(fbbmb.solver, "newton_step", nan_first)
         rep = solve(sys_ex2, SolverConfig(method="trust_region"))
         assert rep.converged
         np.testing.assert_allclose(rep.v, base.v, atol=1e-12)
+
+
+class TestRoundingLevelStop:
+    # solve stops "floor" without factoring once the merit is within its own
+    # rounding level, which bounds the predicted decrease 0.5 ||J p||^2 of the
+    # exact Gauss-Newton step; the held LU of the previous iteration serves only
+    # that last correction, and is dropped before the next Jacobian is built
+
+    @staticmethod
+    def scaled_example2(A):
+        # example2's data times A, u = A t^2 e^x: the nonlinear term grows like A^2
+        return lambda alpha: make_separable_problem(
+            alpha, np.exp, np.exp, np.exp, lambda t: A * t**2, lambda t: 2 * A * t,
+            lambda t, a: 2 * A * t ** (2 - a) / gamma(3 - a))
+
+    @staticmethod
+    def traced_solve(monkeypatch, sys_d, method):
+        """(report, (v, G, level) of every iterate the loop tested, the number
+        of iterates tested at each Jacobian call) of a cold solve, asserting at
+        every `jacobian` call that no array an earlier call returned is alive."""
+        levels, factored, alive = [], [], []
+        rounding_level = fbbmb.solver._rounding_level
+
+        def recording_level(v, G, scale):
+            level = rounding_level(v, G, scale)
+            levels.append((v.copy(), G.copy(), level))
+            return level
+
+        def checked_jacobian(sys, v):
+            assert all(ref() is None for ref in alive), "two Jacobian buffers coexist"
+            J = jacobian(sys, v)
+            alive.append(weakref.ref(J))
+            factored.append(len(levels))
+            return J
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fbbmb.solver, "_rounding_level", recording_level)
+            mp.setattr(fbbmb.solver, "jacobian", checked_jacobian)
+            rep = solve(sys_d, SolverConfig(method=method))
+        return rep, levels, factored
+
+    def check_contract(self, monkeypatch, spec, n, method):
+        """(whether the stop fired, iterates tested, Jacobians built) of a
+        cold solve that keeps the stop's contract."""
+        sys_d = make_system(spec, n, n)
+        rep, levels, factored = self.traced_solve(monkeypatch, sys_d, method)
+        # every tested iterate is factored unless the stop fires there, and
+        # the stop ends the loop
+        fired = bool(levels) and factored[-1:] != [len(levels)]
+        merits_above = [0.5 * float(G @ G) > level for _, G, level in levels]
+        assert merits_above == [True] * (len(levels) - fired) + [False] * fired
+        if fired:
+            assert rep.stop_reason == "floor"
+            v, G, level = levels[-1]
+            step, _ = newton_step(sys_d, v, G, [], 0)
+            Jp = jvp(sys_d, v, step)
+            assert 0.5 * float(Jp @ Jp) <= level  # the floor test passes at v
+        return fired, len(levels), len(factored)
+
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_registered_problems(self, monkeypatch, name, method):
+        for alpha in (0.1, 0.5, 1.0):
+            for n in (4, 8, 16):
+                self.check_contract(monkeypatch, REGISTRY[name](alpha), n, method)
+
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    @pytest.mark.parametrize("A", [1, 10, 100, 1000, 10**4])
+    def test_scaled_example2(self, monkeypatch, A, method):
+        for alpha in (0.1, 0.5, 1.0):
+            for n in (8, 16):
+                self.check_contract(monkeypatch, self.scaled_example2(A)(alpha), n, method)
+
+    def test_fires_without_factoring(self, monkeypatch):
+        fired, iterates, jacobians = self.check_contract(
+            monkeypatch, self.scaled_example2(10)(0.5), 16, "newton")
+        assert fired
+        assert jacobians == iterates - 1  # the last iterate was not factored
 
 
 class TestEvaluationCounts:
