@@ -5,9 +5,10 @@ as vec[i*(m+1) + j], so every Kronecker product reads A_space (x) B_time and
 (A (x) B) vec(g) == vec(A @ G @ B.T) for the (n+1) x (m+1) matrix G.
 
 A `DiscreteSystem` is the `OperatorBundle` it was assembled from, extended by
-the problem's data, so it keeps its operators as those 1-D factors. The linear part
-Psi = Q_x (x) rl_frac - D_x (x) I and the nonlinear-term operators
-K_tn = I (x) Q_t and Q_tx = Q_x (x) Q_t are applied as (n+1) x (m+1) matrix
+the problem's data in the shapes they are used in: nothing it holds is larger
+than a grid, and only this module reads its matrices. The linear part Psi =
+Q_x (x) rl_frac - D_x (x) I, the nonlinear-term operators K_tn = I (x) Q_t and
+Q_tx = Q_x (x) Q_t, and the constraint C = P_x (x) Q_t are applied as matrix
 sandwiches at O(N (n+m)) each, N = (n+1)(m+1); so are the Jacobian products
 `jvp` and `vjp`. Only `jacobian` forms a dense matrix, the (N+m+1) x N
 [J(v); C] that a linear step factorizes.
@@ -54,12 +55,11 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class DiscreteSystem(OperatorBundle):
     """Assembled collocation system: the operator bundle it was assembled from,
-    the data vectors, and the boundary integral constraint C v = Rhat."""
+    the data grids S and F, phi' on the space nodes, and Rhat of C v = Rhat."""
 
     S: np.ndarray
     phi_prime: np.ndarray
     F: np.ndarray
-    C: np.ndarray
     Rhat: np.ndarray
 
 
@@ -76,13 +76,9 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     phi0, phi1 = spec.phi(0.0), spec.phi(1.0)
 
     S = (phi_x - phi0)[:, None] + psi1_t[None, :]
-    phi_prime = np.repeat(ops.D_x @ phi_x, m + 1)
     F = f_grid - (ops.caputo @ psi1_t)[None, :]
     Rhat = psi2_t - psi1_t - (phi1 - phi0)
-    C = np.kron(ops.P_x, ops.Q_t)
-
-    return DiscreteSystem(**vars(ops), S=S.reshape(-1), phi_prime=phi_prime,
-                          F=F.reshape(-1), C=C, Rhat=Rhat)
+    return DiscreteSystem(**vars(ops), S=S, phi_prime=ops.D_x @ phi_x, F=F, Rhat=Rhat)
 
 
 def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
@@ -94,8 +90,8 @@ def _nonlinear_factors(sys: DiscreteSystem, v: np.ndarray) -> tuple[np.ndarray, 
     """Y = K_tn v + phi' and W = 1 + S + Q_tx v, as (n+1) x (m+1) grids."""
     V = _grid(sys, v)
     VQt = V @ sys.Q_t.T
-    Y = VQt + _grid(sys, sys.phi_prime)
-    W = 1.0 + _grid(sys, sys.S) + sys.Q_x @ VQt
+    Y = VQt + sys.phi_prime[:, None]
+    W = 1.0 + sys.S + sys.Q_x @ VQt
     return Y, W
 
 
@@ -104,8 +100,8 @@ def residual(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     N(v) = Y(v) .* W(v)."""
     V = _grid(sys, v)
     Y, W = _nonlinear_factors(sys, v)
-    top = sys.Q_x @ V @ sys.rl_frac.T - sys.D_x @ V - _grid(sys, sys.F) + Y * W
-    return np.concatenate([top.reshape(-1), sys.C @ v - sys.Rhat])
+    top = sys.Q_x @ V @ sys.rl_frac.T - sys.D_x @ V - sys.F + Y * W
+    return np.concatenate([top.reshape(-1), (sys.P_x @ (V @ sys.Q_t.T))[0] - sys.Rhat])
 
 
 def jvp(sys: DiscreteSystem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -113,9 +109,9 @@ def jvp(sys: DiscreteSystem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     forming J."""
     P = _grid(sys, p)
     Y, W = _nonlinear_factors(sys, v)
-    QP = sys.Q_x @ P
-    top = QP @ sys.rl_frac.T - sys.D_x @ P + W * (P @ sys.Q_t.T) + Y * (QP @ sys.Q_t.T)
-    return np.concatenate([top.reshape(-1), sys.C @ p])
+    QP, PQt = sys.Q_x @ P, P @ sys.Q_t.T
+    top = QP @ sys.rl_frac.T - sys.D_x @ P + W * PQt + Y * (QP @ sys.Q_t.T)
+    return np.concatenate([top.reshape(-1), (sys.P_x @ PQt)[0]])
 
 
 def vjp(sys: DiscreteSystem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -124,8 +120,8 @@ def vjp(sys: DiscreteSystem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     Qm = _grid(sys, q[:N])
     Y, W = _nonlinear_factors(sys, v)
     top = (sys.Q_x.T @ (Qm @ sys.rl_frac + (Y * Qm) @ sys.Q_t) - sys.D_x.T @ Qm
-           + (W * Qm) @ sys.Q_t)
-    return top.reshape(-1) + sys.C.T @ q[N:]
+           + (W * Qm) @ sys.Q_t + sys.P_x.T * (q[N:] @ sys.Q_t))
+    return top.reshape(-1)
 
 
 def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
@@ -147,13 +143,21 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     np.multiply(sys.Q_x.T[:, None, :, None], A[None], out=T4)
     np.einsum("pqiq->pqi", T4)[...] -= sys.D_x.T[:, None, :]  # [p, q, i]: j = q
     np.einsum("pqpj->pqj", T4)[...] += W[:, None, :] * sys.Q_t.T[None]  # [p, q, j]: i = p
-    out_t[:, N:] = sys.C.T
+    out_t[:, N:] = (sys.P_x.T[:, :, None] * sys.Q_t.T).reshape(N, m1)  # C^T
     return out_t.T
 
 
 def reconstruct(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """Nodal solution values u = S + Q_tx v in the space-major ordering."""
-    return sys.S + (sys.Q_x @ _grid(sys, v) @ sys.Q_t.T).reshape(-1)
+    return (sys.S + sys.Q_x @ _grid(sys, v) @ sys.Q_t.T).reshape(-1)
+
+
+def rounding_scale(sys: DiscreteSystem) -> tuple[float, float]:
+    """(a bound on ||Psi||_inf, ||F||_inf), the scale of the residual's rounding
+    level: ||Q_x (x) rl_frac - D_x (x) I||_inf <= ||Q_x|| ||rl_frac|| + ||D_x||."""
+    psi_bound = (np.linalg.norm(sys.Q_x, np.inf) * np.linalg.norm(sys.rl_frac, np.inf)
+                 + np.linalg.norm(sys.D_x, np.inf))
+    return float(psi_bound), float(np.max(np.abs(sys.F)))
 
 
 def evaluate_on_mesh(

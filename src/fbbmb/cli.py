@@ -70,6 +70,8 @@ class RunConfig:
             ts = float(self.error_mesh[6:])
             if not 0.0 <= ts <= 1.0:
                 raise ValueError(f"slice time {ts} outside [0, 1]")
+        for name, kind in (("alpha", float), ("n", int), ("m", int), ("lam", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True)

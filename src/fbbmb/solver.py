@@ -7,7 +7,8 @@ integral constraint, coupled by least squares. On the benchmark problems the
 collocation and constraint rows carry a small mutual inconsistency, so G need
 not vanish at the minimizer. Convergence is declared on a residual root,
 ||G||_inf <= tol_residual, or at the rounding floor (below), which is where a
-least-squares minimizer with G != 0 stops.
+least-squares minimizer with G != 0 stops. The solver reads the system only
+through `assembly`'s functions and its size N.
 
 There is one iteration loop. Each pass tests the merit against its rounding
 level, takes the Gauss-Newton step, tests the rounding floor, shortens the step
@@ -45,9 +46,9 @@ warns if J has lost rank.
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the computed
-residual, Higham ch. 3, with ||Psi||_inf bounded through its Kronecker factors),
-no further iteration can be told from roundoff. The loop then takes the full
-step unless it raises the merit, and stops converged with stop_reason "floor".
+residual, Higham ch. 3, scaled by `assembly.rounding_scale`), no further
+iteration can be told from roundoff. The loop then takes the full step unless
+it raises the merit, and stops converged with stop_reason "floor".
 The level is computed once per iteration, before any Jacobian. As the exact
 step's predicted decrease 0.5 ||P_J G||^2 is never above the merit 0.5 ||G||^2,
 a merit already within the level means the floor test would pass: the loop
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cython_lapack, get_lapack_funcs, lstsq
 
-from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, vjp
+from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, rounding_scale, vjp
 
 EPS = np.finfo(float).eps
 CONVERGED_REASONS = ("residual", "floor")
@@ -121,8 +122,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.tol_residual < np.inf:  # also rejects nan
             raise ValueError(f"tol_residual={self.tol_residual} must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters={self.max_iters} must be at least 1")
+        if not float(self.max_iters).is_integer() or self.max_iters < 1:  # also nan, inf
+            raise ValueError(f"max_iters={self.max_iters} must be an integer of at least 1")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         if self.method not in ("newton", "trust_region"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -201,15 +203,6 @@ def _min_norm_step(J, G, warns, k):
     if rank < J.shape[1]:
         warns.append(f"iteration {k}: Jacobian rank {rank} < {J.shape[1]}")
     return step
-
-
-def _floor_scale(sys: DiscreteSystem) -> tuple[float, float]:
-    """(an upper bound on ||Psi||_inf, ||F||_inf). As ||A (x) B||_inf =
-    ||A||_inf ||B||_inf, ||Q_x (x) rl_frac - D_x (x) I||_inf is at most
-    ||Q_x||_inf ||rl_frac||_inf + ||D_x||_inf."""
-    psi_bound = (np.linalg.norm(sys.Q_x, np.inf) * np.linalg.norm(sys.rl_frac, np.inf)
-                 + np.linalg.norm(sys.D_x, np.inf))
-    return float(psi_bound), float(np.max(np.abs(sys.F)))
 
 
 def _rounding_level(v, G, scale):
@@ -307,7 +300,7 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
     """Gauss-Newton from the zero initial guess (or the given one), its steps
     shortened as `cfg.method` says."""
     t0 = time.perf_counter()
-    scale = _floor_scale(sys)
+    scale = rounding_scale(sys)
     v = np.zeros(sys.F.size) if v0 is None else np.array(v0, dtype=float)
     warns: list[str] = []
     radius = None

@@ -14,6 +14,7 @@ from fbbmb.assembly import (
     jvp,
     reconstruct,
     residual,
+    rounding_scale,
     vjp,
 )
 from fbbmb.basis import build_node_set
@@ -31,8 +32,8 @@ def make_system(spec, n, m, **bundle_kwargs):
 
 def without_nonlinear_term(sys):
     # for phi = 0 (example1, example2) phi' = 0, so zeroing Q_t makes
-    # Y(v) = K_tn v + phi' vanish and with it the nonlinear term Y .* W; C is
-    # stored dense, so the constraint rows keep their Q_t
+    # Y(v) = K_tn v + phi' vanish and with it the nonlinear term Y .* W; the
+    # constraint rows P_x V Q_t^T - Rhat lose their v-dependence too
     return dataclasses.replace(sys, Q_t=np.zeros_like(sys.Q_t))
 
 
@@ -51,11 +52,13 @@ def dense_reference(sys, v):
     Psi = np.kron(sys.Q_x, sys.rl_frac) - np.kron(sys.D_x, np.eye(m1))
     K_tn = np.kron(np.eye(n1), sys.Q_t)
     Q_tx = np.kron(sys.Q_x, sys.Q_t)
-    Y = K_tn @ v + sys.phi_prime
-    W = 1.0 + sys.S + Q_tx @ v
-    G = np.concatenate([Psi @ v - sys.F + Y * W, sys.C @ v - sys.Rhat])
-    J = np.vstack([Psi + W[:, None] * K_tn + Y[:, None] * Q_tx, sys.C])
-    return G, J, sys.S + Q_tx @ v
+    C = np.kron(sys.P_x, sys.Q_t)
+    S, F = sys.S.reshape(-1), sys.F.reshape(-1)
+    Y = K_tn @ v + np.repeat(sys.phi_prime, m1)
+    W = 1.0 + S + Q_tx @ v
+    G = np.concatenate([Psi @ v - F + Y * W, C @ v - sys.Rhat])
+    J = np.vstack([Psi + W[:, None] * K_tn + Y[:, None] * Q_tx, C])
+    return G, J, S + Q_tx @ v
 
 
 def other_form(g):
@@ -140,14 +143,14 @@ class TestAssemble:
         np.testing.assert_allclose(sys.phi_prime, 0.0, atol=1e-15)
         np.testing.assert_allclose(sys.Rhat, 0.0, atol=1e-15)
         x, t = sys.ns_x.nodes, sys.ns_t.nodes
-        np.testing.assert_allclose(sys.F, spec.f(x[:, None], t[None, :]).reshape(-1))
+        np.testing.assert_allclose(sys.F, spec.f(x[:, None], t[None, :]))
 
     def test_psi_data_enter_s_and_rhat(self):
         spec = example2(0.5)
         sys = make_system(spec, 3, 3)
         t = sys.ns_t.nodes
         # phi = 0, psi1 = t^2: S = t^2 tiled across space rows
-        np.testing.assert_allclose(sys.S, np.kron(np.ones(4), t**2), atol=1e-15)
+        np.testing.assert_allclose(sys.S, np.tile(t**2, (4, 1)), atol=1e-15)
         np.testing.assert_allclose(sys.Rhat, (np.e - 1.0) * t**2, atol=1e-14)
 
     def test_psi_matrix_hand_indexed(self):
@@ -180,11 +183,13 @@ class TestAssemble:
         np.testing.assert_allclose(psi_matrix(sys), expected, atol=1e-13)
 
     def test_no_field_holds_n_squared_entries(self):
-        # operators stay as 1-D factors; C, (m+1) x N, is the largest array
-        sys = make_system(example2(0.5), 12, 10)
-        N = sys.F.size
+        # operators stay as 1-D factors and data as grids: no array is larger
+        # than a grid or a 1-D operator
+        n, m = 12, 10
+        sys = make_system(example2(0.5), n, m)
         arrays = [getattr(sys, f.name) for f in dataclasses.fields(sys)]
-        assert max(a.size for a in arrays if isinstance(a, np.ndarray)) < N * N
+        largest = max(a.size for a in arrays if isinstance(a, np.ndarray))
+        assert largest <= max(sys.F.size, (n + 1) ** 2, (m + 1) ** 2)
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     @pytest.mark.parametrize("n, m", [(3, 7), (9, 4)])
@@ -211,7 +216,7 @@ class TestResidual:
         v = np.zeros(sys.F.size)
         G = residual(sys, v)
         # example 1: S = phi' = 0, so N(0) = 0 and the residual is [-F; 0]
-        np.testing.assert_allclose(G[: v.size], -sys.F, atol=1e-15)
+        np.testing.assert_allclose(G[: v.size], -sys.F.reshape(-1), atol=1e-15)
         np.testing.assert_allclose(G[v.size :], 0.0, atol=1e-15)
 
     def test_linear_path_is_affine(self):
@@ -265,8 +270,8 @@ class TestJacobian:
         v = 0.3 * np.random.default_rng(5).standard_normal(sys.F.size)
         Qx, Dx, Qt, R = sys.Q_x, sys.D_x, sys.Q_t, sys.rl_frac
         VQt = v.reshape(n + 1, m + 1) @ Qt.T
-        Y = VQt + sys.phi_prime.reshape(n + 1, m + 1)
-        W = 1.0 + sys.S.reshape(n + 1, m + 1) + Qx @ VQt
+        Y = VQt + sys.phi_prime[:, None]
+        W = 1.0 + sys.S + Qx @ VQt
         # T[i, j, p, q] = J[(i, j), (p, q)]
         T = Qx[:, None, :, None] * (R[None, :, None, :] + Y[:, :, None, None] * Qt[None, :, None, :])
         T = T - Dx[:, None, :, None] * np.eye(m + 1)[None, :, None, :]
@@ -278,10 +283,11 @@ class TestJacobian:
         n, m = 3, 4
         sys = make_system(example2(0.5), n, m)
         N = sys.F.size
-        J = jacobian(sys, np.zeros(N))
+        J = jacobian(sys, 0.3 * np.random.default_rng(2).standard_normal(N))
         assert J.shape == (N + m + 1, N)
         assert J.flags.f_contiguous  # so LAPACK factors it in place
-        np.testing.assert_array_equal(J[N:], sys.C)
+        # the constraint rows are the products the dense C = P_x (x) Q_t holds
+        assert np.array_equal(J[N:], np.kron(sys.P_x, sys.Q_t))
 
     def test_peak_memory_no_n_squared_temporary(self):
         # the Jacobian is written from the factors into one (N+m+1) x N array;
@@ -295,6 +301,19 @@ class TestJacobian:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * J.nbytes
+
+
+class TestRoundingScale:
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("n, m", [(3, 7), (9, 4)])
+    def test_psi_norm_matches_dense_operator(self, alpha, n, m):
+        # the Kronecker norm identity bounds ||Psi||_inf from above, within 10%
+        sys_nm = make_system(example2(alpha), n, m)
+        Psi = np.kron(sys_nm.Q_x, sys_nm.rl_frac) - np.kron(sys_nm.D_x, np.eye(m + 1))
+        dense = np.abs(Psi).sum(axis=1).max()
+        psi_norm, f_norm = rounding_scale(sys_nm)
+        assert dense <= psi_norm <= 1.1 * dense
+        assert f_norm == np.max(np.abs(sys_nm.F))
 
 
 GRIDS = [(3, 7), (9, 4)]
@@ -337,7 +356,7 @@ class TestFactoredOperators:
 class TestReconstruct:
     def test_zero_field_gives_background(self):
         sys = make_system(example2(0.5), 3, 3)
-        np.testing.assert_array_equal(reconstruct(sys, np.zeros(sys.F.size)), sys.S)
+        np.testing.assert_array_equal(reconstruct(sys, np.zeros(sys.F.size)), sys.S.reshape(-1))
 
     def test_exact_field_reconstructs_solution(self):
         spec = example2(0.5)

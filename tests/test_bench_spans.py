@@ -32,8 +32,8 @@ def test_system_bytes_of_an_assembled_system(spans):
     n, m = 5, 3
     ops = build_operator_bundle(build_node_set(0.5, n), build_node_set(0.5, m), 0.5)
     N = (n + 1) * (m + 1)
-    # D_x, Q_x; P_x; Q_t, rl_frac, caputo; S, phi_prime, F; C; Rhat
-    floats = 2 * (n + 1) ** 2 + (n + 1) + 3 * (m + 1) ** 2 + 3 * N + (m + 1) * N + (m + 1)
+    # D_x, Q_x; P_x, phi_prime; Q_t, rl_frac, caputo; S, F; Rhat
+    floats = 2 * (n + 1) ** 2 + 2 * (n + 1) + 3 * (m + 1) ** 2 + 2 * N + (m + 1)
     system = assemble(REGISTRY["example2"](0.5), ops)
     assert spans.system_bytes(system) == 8 * floats
     assert spans.system_bytes(system) == sum(

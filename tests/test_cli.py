@@ -331,6 +331,18 @@ class TestSerialization:
         assert docs[0]["n"] == 4 and docs[1]["n"] == 5
         assert docs[0]["aae"] == results[0].aae
 
+    def test_numpy_and_float_inputs_write_plain_numbers(self):
+        # RunConfig stores n and m as int and alpha and lam as float, so rows
+        # built from numpy scalars and integral floats parse back as numbers
+        rows = sweep(RunConfig(problem="example2", n=4, m=4, lam=np.float64(0.5)),
+                     alphas=list(np.linspace(0.5, 1, 2)), sizes=[np.int64(4), 5.0])
+        parsed = list(csv.DictReader(io.StringIO(format_csv(rows))))
+        assert [(float(r["alpha"]), int(r["n"]), int(r["m"]), float(r["lambda"]))
+                for r in parsed] == [(0.5, 4, 4, 0.5), (0.5, 5, 5, 0.5),
+                                     (1.0, 4, 4, 0.5), (1.0, 5, 5, 0.5)]
+        docs = json.loads(format_json(rows))
+        assert [d["n"] for d in docs] == [4, 5, 4, 5]
+
     def test_json_includes_grid_for_mesh_runs(self):
         res = run(RunConfig(problem="example2", n=5, m=5, error_mesh="slice=1.0"))
         docs = json.loads(format_json([res]))

@@ -49,6 +49,9 @@ class TestSolverConfig:
             {"method": "bfgs"},
             {"tol_residual": float("nan")},
             {"tol_residual": float("inf")},
+            {"max_iters": 2.5},
+            {"max_iters": float("nan")},
+            {"max_iters": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -183,19 +186,6 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * J.nbytes
-
-
-class TestFloorScale:
-    @pytest.mark.parametrize("alpha", [0.3, 1.0])
-    @pytest.mark.parametrize("n, m", [(3, 7), (9, 4)])
-    def test_psi_norm_matches_dense_operator(self, alpha, n, m):
-        # the Kronecker norm identity bounds ||Psi||_inf from above, within 10%
-        sys_nm = make_system(example2(alpha), n, m)
-        Psi = np.kron(sys_nm.Q_x, sys_nm.rl_frac) - np.kron(sys_nm.D_x, np.eye(m + 1))
-        dense = np.abs(Psi).sum(axis=1).max()
-        psi_norm, f_norm = fbbmb.solver._floor_scale(sys_nm)
-        assert dense <= psi_norm <= 1.1 * dense
-        assert f_norm == np.max(np.abs(sys_nm.F))
 
 
 class TestStopReasons:
