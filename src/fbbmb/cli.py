@@ -2,6 +2,8 @@
 
 `main` runs every invocation through `sweep`, which validates every row before
 the first solve; a single run is the 1 x 1 sweep of the flags' alpha and (n, m).
+Each row records its fine solve's stop reason, and a row that did not converge
+gets one stderr line naming the run and that reason.
 
 `run` solves a grid by nested iteration: it first solves the same problem at
 (n // 2, m // 2), recursively while both halves stay at least MIN_COARSE, and
@@ -40,7 +42,7 @@ MIN_COARSE = 8  # smallest grid degree a coarse level of the cascade solves on
 
 CSV_COLUMNS = [
     "problem", "alpha", "n", "m", "lambda", "aae", "max_err", "et_seconds",
-    "precompute_seconds", "iterations", "converged",
+    "precompute_seconds", "iterations", "converged", "stop_reason",
 ]
 
 
@@ -83,6 +85,7 @@ class RunResult:
     precompute_seconds: float
     iterations: int
     converged: bool
+    stop_reason: str  # the fine solve's SolveReport.stop_reason
     grid: Optional[np.ndarray] = None  # (x, t, u_numeric, u_exact, abs_err) rows
 
     def row(self) -> dict:
@@ -138,7 +141,7 @@ def run(cfg: RunConfig) -> RunResult:
         X, T = np.meshgrid(xs, ts, indexing="ij")
         grid = np.column_stack([X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()])
     return RunResult(cfg, aae, max_err, et_seconds, precompute_seconds,
-                     report.iterations, report.converged, grid)
+                     report.iterations, report.converged, report.stop_reason, grid)
 
 
 def sweep(template: RunConfig, alphas: list[float] | None = None,
@@ -202,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=run_d.n)
     p.add_argument("--m", type=int, default=run_d.m)
     p.add_argument("--lambda", dest="lam", type=float, default=run_d.lam)
-    p.add_argument("--tol", type=float, default=solver_d.tol_residual)
     p.add_argument("--max-iters", type=int, default=solver_d.max_iters)
     p.add_argument("--solver", choices=["newton", "trust-region"],
                    default=solver_d.method.replace("_", "-"))
@@ -222,8 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID_CONFIG if exc.code not in (0, None) else 0
     try:
-        solver_cfg = SolverConfig(tol_residual=args.tol, max_iters=args.max_iters,
-                                  method=args.solver.replace("-", "_"))
+        solver_cfg = SolverConfig(max_iters=args.max_iters, method=args.solver.replace("-", "_"))
         cfg = RunConfig(problem=args.problem, alpha=args.alpha, n=args.n, m=args.m,
                         lam=args.lam, solver=solver_cfg, error_mesh=args.error_mesh)
         if args.out and os.path.isdir(args.out):
@@ -243,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     results = [r for r in rows if not isinstance(r, Exception)]
     for exc in failures:
         print(f"error: run failed: {exc}", file=sys.stderr)
+    for r in results:
+        if not r.converged:
+            c = r.config
+            print(f"warning: {c.problem} alpha={c.alpha} n={c.n} m={c.m} did not converge:"
+                  f" {r.stop_reason}", file=sys.stderr)
 
     fmt = {"table": format_table, "csv": format_csv, "json": format_json}[args.fmt]
     text = fmt(results)

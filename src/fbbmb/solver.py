@@ -5,18 +5,21 @@ for the collocation system.
 residual G(v) = [R(v); C v - Rhat]: the collocation rows and the boundary
 integral constraint, coupled by least squares. On the benchmark problems the
 collocation and constraint rows carry a small mutual inconsistency, so G need
-not vanish at the minimizer. Convergence is declared on a residual root,
-||G||_inf <= tol_residual, or at the rounding floor (below), which is where a
-least-squares minimizer with G != 0 stops. The solver reads the system only
-through `assembly`'s functions and its size N.
+not vanish at the minimizer. Convergence is declared only at the rounding
+floor (below), which is where a least-squares minimizer with G != 0 stops; it
+scales with the data, so no absolute threshold on G, the step or the trust
+radius can end the loop. The solver reads the system only through
+`assembly`'s functions and its size N.
 
 There is one iteration loop. Each pass tests the merit against its rounding
-level, takes the Gauss-Newton step, tests the rounding floor, shortens the step
-until it lowers the merit, and tests the residual, the step size, and last the
-iteration cap. `cfg.method` picks only the shortening (Nocedal & Wright,
-Numerical Optimization, ch. 10-11): "newton" halves the step up to 30 times
-(`_line_search`); "trust_region" blends it with the Cauchy step inside a
-radius carried from one iteration to the next (`_dogleg`). The dogleg's first radius is the length of the first
+level, takes the Gauss-Newton step, tests the rounding floor, and shortens the
+step until it lowers the merit; it stops "stagnation" when MAX_TRIALS shortened
+steps find no decrease, and "max_iters" after cfg.max_iters steps.
+`cfg.method` picks only the shortening (Nocedal & Wright, Numerical
+Optimization, ch. 10-11): "newton" halves the step (`_line_search`);
+"trust_region" blends it with the Cauchy step inside a radius carried from one
+iteration to the next, quartering the radius on each rejected trial
+(`_dogleg`). The dogleg's first radius is the length of the first
 Gauss-Newton step, or of the Cauchy step when that step is not finite (More,
 "The Levenberg-Marquardt algorithm", 1978), so a full Gauss-Newton step is
 tried first and the dogleg takes Newton's iterations where those steps succeed.
@@ -71,9 +74,7 @@ from scipy.linalg import cython_lapack, get_lapack_funcs, lstsq
 from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, rounding_scale, vjp
 
 EPS = np.finfo(float).eps
-CONVERGED_REASONS = ("residual", "floor")
-TOL_STEP = 1e-14  # stop, not converged, once a step's largest entry is this small
-MIN_TRUST_RADIUS = 1e-12  # the dogleg gives up below this radius
+MAX_TRIALS = 30  # shortened steps the line search or the dogleg tries per iteration
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
 _getrf, _trtrs, _laswp, _posv = get_lapack_funcs(("getrf", "trtrs", "laswp", "posv"), dtype=float)
@@ -115,13 +116,10 @@ def _trcon(lu: np.ndarray, n: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_residual: float = 1e-12
     max_iters: int = 100
     method: str = "newton"  # "newton" | "trust_region"
 
     def __post_init__(self):
-        if not 0 < self.tol_residual < np.inf:  # also rejects nan
-            raise ValueError(f"tol_residual={self.tol_residual} must be positive and finite")
         if not float(self.max_iters).is_integer() or self.max_iters < 1:  # also nan, inf
             raise ValueError(f"max_iters={self.max_iters} must be an integer of at least 1")
         object.__setattr__(self, "max_iters", int(self.max_iters))
@@ -133,12 +131,11 @@ class SolverConfig:
 class SolveReport:
     """The returned iterate `v`, its nodal solution `u`, and how the loop ended.
 
-    `final_residual` is ||G||_inf at `v`, the measure the "residual" stop tests.
-    `stop_reason` names the test that ended the iteration. Converged: "residual"
-    (||G||_inf <= tol_residual), "floor" (the merit, or the step's predicted
-    decrease, is within the merit's rounding level). Not converged: "step"
-    (step below TOL_STEP), "stagnation" (30 halvings found no decrease),
-    "max_iters", "radius_underflow" (trust radius below MIN_TRUST_RADIUS)."""
+    `final_residual` is ||G||_inf at `v`. `stop_reason` names the test that
+    ended the iteration: "floor" (the merit, or the step's predicted decrease,
+    is within the merit's rounding level), the one converged verdict;
+    "stagnation" (MAX_TRIALS shortened steps found no decrease) or "max_iters"
+    (cfg.max_iters steps taken), not converged."""
 
     v: np.ndarray
     u: np.ndarray
@@ -150,7 +147,7 @@ class SolveReport:
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason in CONVERGED_REASONS
+        return self.stop_reason == "floor"
 
 
 def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[str],
@@ -228,24 +225,12 @@ def _merit(G):
     return 0.5 * float(G @ G)
 
 
-def _stop_reason(G, k, step_inf, cfg):
-    """The test that ends the iteration after k steps, the last of largest
-    entry step_inf, or None: the residual, the step size, then the cap."""
-    if np.max(np.abs(G)) <= cfg.tol_residual:
-        return "residual"
-    if step_inf <= TOL_STEP:
-        return "step"
-    if k >= cfg.max_iters:
-        return "max_iters"
-    return None
-
-
 def _line_search(sys, v, G, step):
-    """The first of step, step/2, ... (30 tries) that lowers the merit, with the
-    residual after it, or None."""
+    """The first of step, step/2, ... (MAX_TRIALS tries) that lowers the merit,
+    with the residual after it, or None."""
     merit = _merit(G)
     damp = 1.0
-    for _ in range(30):
+    for _ in range(MAX_TRIALS):
         trial = damp * step
         G_new = residual(sys, v + trial)
         if _merit(G_new) < merit:
@@ -283,7 +268,7 @@ def _dogleg(sys, v, G, step, radius):
         radius = (np.linalg.norm(step) if step is not None
                   else float(g @ g) ** 1.5 / float(Jg @ Jg))  # ||Cauchy step||
     merit = _merit(G)
-    while radius >= MIN_TRUST_RADIUS:
+    for _ in range(MAX_TRIALS):
         p, hit_boundary = _dogleg_step(step, g, Jg, radius)
         predicted = merit - 0.5 * float(np.sum((G + jvp(sys, v, p)) ** 2))
         G_new = residual(sys, v + p)
@@ -307,8 +292,8 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
     factors = None  # the LU of the last Jacobian, held until the next is built
     G = residual(sys, v)
     k = 0
-    reason = _stop_reason(G, k, np.inf, cfg)
-    while reason is None:
+    reason = "max_iters"
+    while k < cfg.max_iters:
         level = _rounding_level(v, G, scale)
         at_level = _merit(G) <= level
         if at_level:
@@ -330,18 +315,13 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
             break
         if cfg.method == "newton":
             accepted = _line_search(sys, v, G, step)
-            if accepted is None:
-                reason = "stagnation"
-                break
         else:
             accepted, radius = _dogleg(sys, v, G, step, radius)
-            if accepted is None:
-                warns.append(f"iteration {k}: trust radius underflow below {MIN_TRUST_RADIUS}")
-                reason = "radius_underflow"
-                break
+        if accepted is None:
+            reason = "stagnation"
+            break
         p, G = accepted
         v = v + p
         k += 1
-        reason = _stop_reason(G, k, np.max(np.abs(p)), cfg)
     return SolveReport(v, reconstruct(sys, v), k, float(np.max(np.abs(G))),
                        time.perf_counter() - t0, reason, tuple(warns))

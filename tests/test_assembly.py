@@ -100,6 +100,22 @@ class TestProblemSpec:
                 exact=lambda x, t: x * t,
             )
 
+    @pytest.mark.parametrize("phi, psi1, accepted", [
+        # corners that differ only by rounding, at 3e8: the absolute 1e-10 rejected them
+        (lambda x: 3e8 * (0.1 + 0.2 + x), lambda t: 3e8 * 0.3, True),
+        (lambda x: np.nan, lambda t: 0.0, False),  # NaN passed `diff > tol`
+    ], ids=["rounding_at_3e8", "nan_phi"])
+    def test_corner_check_is_relative_and_rejects_nan(self, phi, psi1, accepted):
+        def spec():
+            return ProblemSpec(alpha=0.5, phi=phi, psi1=psi1, psi2=lambda t: phi(1.0),
+                               f=lambda x, t: 0.0, exact=lambda x, t: 0.0)
+
+        if accepted:
+            spec()
+        else:
+            with pytest.raises(ValueError, match="corner"):
+                spec()
+
 
 # hand-derived forms of the paper examples, the references for the separable
 # factory: (f, phi, psi1, psi2, exact)

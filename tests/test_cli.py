@@ -43,6 +43,7 @@ def parse_run_result_csv(text: str) -> list[dict]:
             "precompute_seconds": float(raw["precompute_seconds"]),
             "iterations": int(raw["iterations"]),
             "converged": raw["converged"] == "True",
+            "stop_reason": raw["stop_reason"],
         })
     return rows
 
@@ -242,7 +243,7 @@ class TestCascade:
 
         def converged_zero(sys_d, solver_cfg, v0=None):
             v = np.zeros(sys_d.F.size)
-            return SolveReport(v, v, 0, 0.0, 0.0, "residual")
+            return SolveReport(v, v, 0, 0.0, 0.0, "floor")
 
         monkeypatch.setattr(cli, "build_node_set", recording)
         monkeypatch.setattr(cli, "solve", converged_zero)
@@ -330,6 +331,7 @@ class TestSerialization:
         assert docs[0]["problem"] == "example2"
         assert docs[0]["n"] == 4 and docs[1]["n"] == 5
         assert docs[0]["aae"] == results[0].aae
+        assert [d["stop_reason"] for d in docs] == [r.stop_reason for r in results] == ["floor"] * 2
 
     def test_numpy_and_float_inputs_write_plain_numbers(self):
         # RunConfig stores n and m as int and alpha and lam as float, so rows
@@ -465,15 +467,26 @@ class TestMain:
 
         def recording(cfg):
             calls.append(cfg)
-            return RunResult(cfg, 0.0, 0.0, 0.0, 0.0, 1, True)
+            return RunResult(cfg, 0.0, 0.0, 0.0, 0.0, 1, True, "floor")
 
         monkeypatch.setattr("fbbmb.cli.run", recording)
         assert main([]) == EXIT_OK
         assert calls == [RunConfig()]
 
     def test_nonconvergence_exit_code(self, capsys):
-        code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1"])
+        code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1",
+                     "--format", "csv"])
         assert code == EXIT_NO_CONVERGENCE
+        out, err = capsys.readouterr()
+        (row,) = parse_run_result_csv(out)
+        assert not row["converged"] and row["stop_reason"] == "max_iters"
+        # one line per non-converged row says which run failed and why
+        assert err == "warning: example2 alpha=0.5 n=5 m=5 did not converge: max_iters\n"
+
+    def test_removed_tol_flag_rejected(self, capsys):
+        # convergence is the scale-free rounding floor, with no threshold to set
+        assert main(["--problem", "example2", "--n", "4", "--m", "4", "--tol", "1e-8"]) \
+            == EXIT_INVALID_CONFIG
 
     @pytest.mark.parametrize("flag", ["--n1", "--n2", "--lambda1", "--lambda2"])
     def test_removed_quadrature_flags_rejected(self, capsys, flag):
