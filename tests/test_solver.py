@@ -42,9 +42,13 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
+        [  # the row order fixes the test ids: append new rows at the end
+            {"max_iters": -1},
+            {"method": "Newton"},
             {"max_iters": 0},
             {"method": "bfgs"},
+            {"max_iters": 0.5},
+            {"method": ""},
             {"max_iters": 2.5},
             {"max_iters": float("nan")},
             {"max_iters": float("inf")},
