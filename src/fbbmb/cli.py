@@ -3,7 +3,8 @@
 `main` runs every invocation through `sweep`, which validates every row before
 the first solve; a single run is the 1 x 1 sweep of the flags' alpha and (n, m).
 Each row records its fine solve's stop reason, and a row that did not converge
-gets one stderr line naming the run and that reason.
+gets one stderr line naming the run and that reason; a row whose run raised is
+a `RunFailure`, and its stderr line names the run and the exception.
 
 `run` solves a grid by nested iteration: it first solves the same problem at
 (n // 2, m // 2), recursively while both halves stay at least MIN_COARSE, and
@@ -94,6 +95,17 @@ class RunResult:
         return {k: values[k] for k in CSV_COLUMNS}
 
 
+@dataclass(frozen=True)
+class RunFailure:
+    """A sweep row whose run raised `error`."""
+    config: RunConfig
+    error: Exception
+
+
+def _run_name(cfg: RunConfig) -> str:
+    return f"{cfg.problem} alpha={cfg.alpha} n={cfg.n} m={cfg.m}"
+
+
 def _nested_solve(spec, cfg: RunConfig):
     """(system, SolveReport, set-up seconds) of cfg's grid.
 
@@ -145,7 +157,7 @@ def run(cfg: RunConfig) -> RunResult:
 
 
 def sweep(template: RunConfig, alphas: list[float] | None = None,
-          sizes: list[int] | None = None) -> list[RunResult | Exception]:
+          sizes: list[int] | None = None) -> list[RunResult | RunFailure]:
     """Cartesian sweep over alpha and n = m, each failure recorded in its row.
     A list left None keeps the template's alpha, or its own (n, m); an empty one
     is rejected. RunConfig validates every row before the first one runs."""
@@ -154,12 +166,12 @@ def sweep(template: RunConfig, alphas: list[float] | None = None,
     if not alphas or not grids:
         raise ValueError("sweep lists must be non-empty")
     configs = [replace(template, alpha=a, n=n, m=m) for a in alphas for n, m in grids]
-    results: list[RunResult | Exception] = []
+    results: list[RunResult | RunFailure] = []
     for cfg in configs:
         try:
             results.append(run(cfg))
         except Exception as exc:  # recorded per row, sweep continues
-            results.append(exc)
+            results.append(RunFailure(cfg, exc))
     return results
 
 
@@ -240,15 +252,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 
-    failures = [r for r in rows if isinstance(r, Exception)]
-    results = [r for r in rows if not isinstance(r, Exception)]
-    for exc in failures:
-        print(f"error: run failed: {exc}", file=sys.stderr)
+    failures = [r for r in rows if isinstance(r, RunFailure)]
+    results = [r for r in rows if not isinstance(r, RunFailure)]
+    for f in failures:
+        print(f"error: {_run_name(f.config)} run failed: {f.error}", file=sys.stderr)
     for r in results:
         if not r.converged:
-            c = r.config
-            print(f"warning: {c.problem} alpha={c.alpha} n={c.n} m={c.m} did not converge:"
-                  f" {r.stop_reason}", file=sys.stderr)
+            print(f"warning: {_run_name(r.config)} did not converge: {r.stop_reason}",
+                  file=sys.stderr)
 
     fmt = {"table": format_table, "csv": format_csv, "json": format_json}[args.fmt]
     text = fmt(results)

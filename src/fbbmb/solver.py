@@ -38,13 +38,13 @@ Each Gauss-Newton step is a rectangular-LU least-squares solve (Peters &
 Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
 P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
 min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
-so it is solved through its (m+1) x (m+1) normal equations by Cholesky (posv).
-Back-substitution through L1 and U gives the step. `_lu_factor` takes getrf,
-dtrcon and B^T; `_lu_step` takes laswp, posv and the two triangular solves.
-When LU cannot give a reliable step (an exact zero pivot, rcond(U) by dtrcon
-below eps * rows, or a posv failure), J is built again and the step is the
-minimum-norm solution by QR with column pivoting (LAPACK gelsy); the report
-warns if J has lost rank.
+so it is solved through its (m+1) x (m+1) normal equations by Cholesky.
+Back-substitution through L1 and U gives the step. `_lu_factor` alone decides
+whether to trust the LU: it takes getrf, dtrcon, B^T and potrf of B B^T + I,
+and rejects an exact zero pivot, rcond(U) below eps * rows or a failed
+Cholesky, after which J is built again and the step is the minimum-norm
+solution by QR with column pivoting (LAPACK gelsy); the report warns if J has
+lost rank. `_lu_step` only solves: laswp, potrs and two triangular solves.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
@@ -77,7 +77,8 @@ EPS = np.finfo(float).eps
 MAX_TRIALS = 30  # shortened steps the line search or the dogleg tries per iteration
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
-_getrf, _trtrs, _laswp, _posv = get_lapack_funcs(("getrf", "trtrs", "laswp", "posv"), dtype=float)
+_getrf, _trtrs, _laswp, _potrf, _potrs = get_lapack_funcs(
+    ("getrf", "trtrs", "laswp", "potrf", "potrs"), dtype=float)
 
 
 def _cython_lapack(name, *argtypes):
@@ -156,16 +157,14 @@ def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[s
     rectangular LU (see the module docstring). `factors` holds that LU for
     `_lu_step`, or is None when the minimum-norm handler gave p."""
     factors = _lu_factor(sys, v)
-    step = None if factors is None else _lu_step(factors, G)
-    if step is None:
-        factors = None  # free the LU, which overwrote J, before J is built again
+    if factors is None:
         return _min_norm_step(jacobian(sys, v), G, warns, k), None
-    return step, factors
+    return _lu_step(factors, G), factors
 
 
 def _lu_factor(sys, v):
-    """(lu, piv, B^T) of [J(v); C], factored in place in the buffer `jacobian`
-    returns, or None when LU cannot give a reliable step."""
+    """(lu, piv, B^T, chol) of [J(v); C], factored in place in the buffer
+    `jacobian` returns (chol: Cholesky of B B^T + I), or None if rejected."""
     J = jacobian(sys, v)
     N = J.shape[1]
     # the top N rows of lu hold the unit L1 below the diagonal and U on and
@@ -174,28 +173,28 @@ def _lu_factor(sys, v):
     if info > 0 or _trcon(lu, N)[0] < EPS * J.shape[0]:
         return None
     Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
-    return lu, piv, Bt
+    chol, info = _potrf(Bt.T @ Bt + np.eye(Bt.shape[1]))
+    return None if info != 0 else (lu, piv, Bt, chol)
 
 
 def _lu_step(factors, G):
-    """min ||J p + G|| from the factors of J, or None when posv fails."""
-    lu, piv, Bt = factors
+    """min ||J p + G|| from the factors `_lu_factor` accepted. The triangular
+    solves cannot fail: getrf left no zero pivot in U, and L1 is unit."""
+    lu, piv, Bt, chol = factors
     N = lu.shape[1]
     c = _laswp(-G, piv)
     c1, c2 = c[:N], c[N:]
-    _, s, info = _posv(Bt.T @ Bt + np.eye(Bt.shape[1]), Bt.T @ c1 - c2)
-    if info != 0:
-        return None
+    s, _ = _potrs(chol, Bt.T @ c1 - c2)
     y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
     step, _ = _trtrs(lu, y)
     return step
 
 
 def _min_norm_step(J, G, warns, k):
-    # the rank cutoff of np.linalg.lstsq; at scipy's default (eps) the
-    # roundoff of an exactly rank-deficient J can count as rank and blow
-    # up the step
-    rcond = EPS * max(J.shape)
+    # eps * rows, the rank cutoff of np.linalg.lstsq (J has more rows than
+    # columns); at scipy's default (eps) the roundoff of an exactly
+    # rank-deficient J can count as rank and blow up the step
+    rcond = EPS * J.shape[0]
     step, _, rank, _ = lstsq(J, -G, cond=rcond, lapack_driver="gelsy", check_finite=False)
     if rank < J.shape[1]:
         warns.append(f"iteration {k}: Jacobian rank {rank} < {J.shape[1]}")
@@ -282,11 +281,14 @@ def _dogleg(sys, v, G, step, radius):
 
 
 def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) -> SolveReport:
-    """Gauss-Newton from the zero initial guess (or the given one), its steps
-    shortened as `cfg.method` says."""
+    """Gauss-Newton from the zero initial guess (or the given one, N finite
+    numbers), its steps shortened as `cfg.method` says."""
     t0 = time.perf_counter()
+    N = sys.F.size
+    v = np.zeros(N) if v0 is None else np.array(v0, dtype=float)
+    if v.shape != (N,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"v0 must be N = {N} finite numbers")
     scale = rounding_scale(sys)
-    v = np.zeros(sys.F.size) if v0 is None else np.array(v0, dtype=float)
     warns: list[str] = []
     radius = None
     factors = None  # the LU of the last Jacobian, held until the next is built
@@ -306,7 +308,7 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
             step, factors = newton_step(sys, v, G, warns, k)
         if at_level or _at_floor(sys, v, step, level):
             # take the full step unless it is missing or raises the merit
-            if step is not None and np.all(np.isfinite(step)):
+            if step is not None:
                 v_new = v + step
                 G_new = residual(sys, v_new)
                 if _merit(G_new) <= _merit(G):

@@ -460,7 +460,22 @@ class TestMain:
         monkeypatch.setattr(cli, "solve", singular)
         code = main(["--problem", "example2", "--n", "4", "--m", "4"])
         assert code == EXIT_NO_CONVERGENCE
-        assert capsys.readouterr().err == "error: run failed: singular matrix\n"
+        assert capsys.readouterr().err == \
+            "error: example2 alpha=0.5 n=4 m=4 run failed: singular matrix\n"
+
+    def test_failed_sweep_row_names_its_run(self, capsys, monkeypatch):
+        # the row that raised is named; the other rows are still written
+        def singular_at_n5(sys_d, solver_cfg, v0=None):
+            if sys_d.F.shape[0] == 6:  # F is the (n+1) x (m+1) data grid
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(sys_d, solver_cfg, v0)
+
+        monkeypatch.setattr(cli, "solve", singular_at_n5)
+        code = main(["--problem", "example2", "--sweep-size", "4,5", "--format", "csv"])
+        assert code == EXIT_NO_CONVERGENCE
+        out, err = capsys.readouterr()
+        assert [(r["n"], r["m"]) for r in parse_run_result_csv(out)] == [(4, 4)]
+        assert err == "error: example2 alpha=0.5 n=5 m=5 run failed: singular matrix\n"
 
     def test_defaults_are_the_dataclass_defaults(self, capsys, monkeypatch):
         calls = []

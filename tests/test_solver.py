@@ -125,18 +125,40 @@ class TestRectangularLuStep:
 
 
     def test_posv_failure_takes_the_min_norm_step(self, monkeypatch):
-        # posv reporting info != 0 on the normal equations sends the step to
-        # the pivoted-QR handler, as an exact zero pivot does
+        # potrf failing on the correction's normal equations rejects the LU at
+        # factor time and sends the step to the pivoted-QR handler, as an
+        # exact zero pivot does
         sys8 = make_system(example2(0.5), 8, 8)
         v = 0.1 * np.ones(sys8.F.size)
         G = residual(sys8, v)
         expected = fbbmb.solver._min_norm_step(jacobian(sys8, v), G, [], 0)
-        monkeypatch.setattr(fbbmb.solver, "_posv", lambda a, b: (a, b, 1))
+        monkeypatch.setattr(fbbmb.solver, "_potrf", lambda a: (a, 1))
         warns = []
         step, factors = newton_step(sys8, v, G, warns, 0)
         assert factors is None
         assert np.array_equal(step, expected)
         assert warns == []
+
+    def test_exact_zero_pivot_takes_the_min_norm_step(self, sys_ex1, monkeypatch):
+        # a zero column leaves getrf an exact zero pivot (info = 4), which
+        # rejects the LU before its condition is estimated
+        N = sys_ex1.F.size
+        v = 0.1 * np.ones(N)
+        G = residual(sys_ex1, v)
+        J = jacobian(sys_ex1, v)
+        J[:, 3] = 0.0
+        assert getrf(J)[2] == 4
+        monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
+
+        def no_trcon(*args):
+            raise AssertionError("the condition of a zero-pivot LU was estimated")
+
+        monkeypatch.setattr(fbbmb.solver, "_trcon", no_trcon)
+        warns = []
+        step, factors = newton_step(sys_ex1, v, G, warns, 2)
+        assert factors is None
+        np.testing.assert_allclose(step, -np.linalg.pinv(J) @ G, rtol=1e-10, atol=1e-12)
+        assert warns == [f"iteration 2: Jacobian rank {N - 1} < {N}"]
 
 
 class TestInPlaceFactor:
@@ -375,10 +397,21 @@ class TestRoundingLevelStop:
         assert self.relative_aae(spec, 8, rep) <= 1e-6
 
     def test_fires_without_factoring(self, monkeypatch):
-        fired, iterates, jacobians, _ = self.check_contract(
-            monkeypatch, self.scaled_example2(10)(0.5), 16, "newton")
+        spec = self.scaled_example2(10)(0.5)
+        fired, iterates, jacobians, _ = self.check_contract(monkeypatch, spec, 16, "newton")
         assert fired
         assert jacobians == iterates - 1  # the last iterate was not factored
+        # the correction's Cholesky factor is taken once with each LU, and the
+        # held LU's last step factors nothing
+        potrf, lu_step = fbbmb.solver._potrf, fbbmb.solver._lu_step
+        potrf_calls, lu_steps = [], []
+        monkeypatch.setattr(fbbmb.solver, "_potrf",
+                            lambda a: potrf_calls.append(1) or potrf(a))
+        monkeypatch.setattr(fbbmb.solver, "_lu_step",
+                            lambda factors, G: lu_steps.append(1) or lu_step(factors, G))
+        *_, factored = self.traced_solve(monkeypatch, make_system(spec, 16, 16), "newton")
+        assert len(potrf_calls) == len(factored) == jacobians
+        assert len(lu_steps) == jacobians + 1
 
 
 class TestEvaluationCounts:
@@ -502,3 +535,15 @@ class TestReportContract:
     def test_iteration_cap_reports_nonconverged(self, sys_ex2):
         rep = solve(sys_ex2, SolverConfig(max_iters=1))
         assert not rep.converged
+
+    @pytest.mark.parametrize("v0", [
+        np.full(49, np.nan),
+        np.r_[np.zeros(48), np.inf],
+        np.zeros(48),
+    ], ids=["nan", "inf", "short"])
+    def test_initial_guess_must_be_n_finite_numbers(self, v0):
+        # checked before the first residual, into which a NaN or inf start
+        # would carry, and on to the Jacobian and the step
+        sys6 = make_system(example2(0.5), 6, 6)
+        with pytest.raises(ValueError, match="N = 49 finite"):
+            solve(sys6, SolverConfig(), v0)
