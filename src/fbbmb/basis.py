@@ -1,5 +1,7 @@
 """Shifted Gegenbauer-Gauss node sets on [0, 1] with barycentric weights, built
-by `build_node_set` from the Gegenbauer index lam and the grid degree n.
+by `build_node_set` from the Gegenbauer index lam and the grid degree n, and the
+Gauss-Jacobi rule (`gauss_jacobi`) that gives their nodes and the quadratures of
+`opmatrices`; the rule needs numpy alone.
 
 A node set depends on (lam, n) alone, so each is built once per process and
 shared: `build_node_set` checks its arguments on every call, then returns the
@@ -10,9 +12,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from math import gamma
 
 import numpy as np
-from scipy.special import roots_gegenbauer
 
 LAMBDA_MIN = -0.5 + 1e-3
 LAMBDA_MAX = 2.0
@@ -64,9 +66,57 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return signs * np.exp(logw)
 
 
+def _monic_jacobi(x: np.ndarray, diag: np.ndarray, off2: np.ndarray):
+    """p(x) and p'(x) of the monic polynomial of degree diag.size defined by
+    p_{k+1} = (x - diag[k]) p_k - off2[k-1] p_{k-1}, with p_0 = 1 and p_{-1} = 0."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    for k in range(diag.size):
+        b = off2[k - 1] if k else 0.0
+        p_prev, p, dp_prev, dp = (p, (x - diag[k]) * p - b * p_prev,
+                                  dp, p + (x - diag[k]) * dp - b * dp_prev)
+    return p, dp
+
+
+def gauss_jacobi(points: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the points-point Gauss rule on [-1, 1] for
+    the weight (1-x)^a (1+x)^b, a, b > -1.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the monic Jacobi
+    polynomials (Golub & Welsch, Math. Comp. 23, 1969), each refined by one
+    Newton step on their three-term recurrence; the weights are
+    1 / ((1 - x^2) p'(x)^2) at the refined nodes, scaled to sum to the mass of
+    the weight function. The first diagonal and off-diagonal entries take their
+    closed forms, since the general ones are 0/0 at a + b = 0 and a + b = -1.
+    The monic recurrence stays defined at a = b = -1/2, where the Gegenbauer
+    polynomials C_k^(a + 1/2) vanish, and keeps its digits as a, b -> -1.
+    For a = b the nodes are symmetrised about 0."""
+    s = a + b
+    k = np.arange(1.0, points)
+    diag = np.empty(points)
+    diag[0] = (b - a) / (s + 2.0)
+    diag[1:] = (b - a) * s / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+    off2 = np.empty(points - 1)  # squared off-diagonal entries
+    if points > 1:
+        off2[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
+        k = k[1:]
+        off2[1:] = (4.0 * k * (k + a) * (k + b) * (k + s)
+                    / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off2), 1), UPLO="U")
+    p, dp = _monic_jacobi(x, diag, off2)
+    x -= p / dp
+    if a == b:
+        x = (x - x[::-1]) / 2.0
+    _, dp = _monic_jacobi(x, diag, off2)
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    mass = 2.0 ** (s + 1.0) * gamma(a + 1.0) * gamma(b + 1.0) / gamma(s + 2.0)
+    return x, w * (mass / w.sum())
+
+
 def build_node_set(lam: float, n: int) -> NodeSet:
-    """The n + 1 SGG nodes of index lam on [0, 1]: the nodes of scipy's
-    Gauss-Gegenbauer rule on [-1, 1] under the affine shift x -> (x + 1)/2.
+    """The n + 1 SGG nodes of index lam on [0, 1]: the nodes of the
+    Gauss-Gegenbauer rule on [-1, 1], the Gauss-Jacobi rule with
+    a = b = lam - 1/2, under the affine shift x -> (x + 1)/2.
     Repeated calls with equal (lam, n) return the same read-only NodeSet."""
     check_lambda(lam)
     if not float(n).is_integer():
@@ -78,7 +128,7 @@ def build_node_set(lam: float, n: int) -> NodeSet:
 
 @cache
 def _node_set(lam: float, n: int) -> NodeSet:
-    x, _ = roots_gegenbauer(n + 1, lam)
+    x, _ = gauss_jacobi(n + 1, lam - 0.5, lam - 0.5)
     nodes = (x + 1.0) / 2.0
     ns = NodeSet(nodes, barycentric_weights(nodes))
     nodes.flags.writeable = ns.bary_weights.flags.writeable = False

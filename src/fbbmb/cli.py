@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -87,7 +88,17 @@ class RunResult:
     iterations: int
     converged: bool
     stop_reason: str  # the fine solve's SolveReport.stop_reason
-    grid: Optional[np.ndarray] = None  # (x, t, u_numeric, u_exact, abs_err) rows
+    mesh: Optional[tuple] = field(default=None, repr=False)  # (xs, ts, U, E) off the nodes
+
+    @cached_property
+    def grid(self) -> Optional[np.ndarray]:
+        """(x, t, u_numeric, u_exact, abs_err) rows of the error mesh, stacked on
+        first access; None on the "collocation" mesh."""
+        if self.mesh is None:
+            return None
+        xs, ts, U, E = self.mesh
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        return np.column_stack([X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()])
 
     def row(self) -> dict:
         """The CSV_COLUMNS of the config (`lambda` is its `lam`) and of this result."""
@@ -140,7 +151,6 @@ def run(cfg: RunConfig) -> RunResult:
     sys_d, report, precompute_seconds = _nested_solve(spec, cfg)
     et_seconds = time.perf_counter() - t0 - precompute_seconds
 
-    grid = None
     xs, ts = sys_d.ns_x.nodes, sys_d.ns_t.nodes
     if cfg.error_mesh != "collocation":
         xs = np.linspace(0.0, 1.0, 101)
@@ -149,11 +159,9 @@ def run(cfg: RunConfig) -> RunResult:
     E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
     aae = compute_aae(U, E)
     max_err = float(np.max(np.abs(U - E)))
-    if cfg.error_mesh != "collocation":
-        X, T = np.meshgrid(xs, ts, indexing="ij")
-        grid = np.column_stack([X.ravel(), T.ravel(), U.ravel(), E.ravel(), np.abs(U - E).ravel()])
+    mesh = None if cfg.error_mesh == "collocation" else (xs, ts, U, E)
     return RunResult(cfg, aae, max_err, et_seconds, precompute_seconds,
-                     report.iterations, report.converged, report.stop_reason, grid)
+                     report.iterations, report.converged, report.stop_reason, mesh)
 
 
 def sweep(template: RunConfig, alphas: list[float] | None = None,

@@ -6,12 +6,13 @@ Every integration matrix is one quadrature of the cardinal functions over
 row vector order 1 on [0, 1], and the RL matrix order beta on the nodes. The
 Caputo matrix is formed only in `build_operator_bundle`.
 
-The alpha-free operators are built once per process: the Gauss-Jacobi rule is
-memoised per (points, beta), and `build_sgdm`, `build_sgim` and `build_sgirv`
-per node set, which `basis.build_node_set` memoises per (lam, n); their arrays
-are read-only. Everything that depends on alpha (`build_rl_fsgim`, the bundle's
-`rl_frac` and `caputo`) is built afresh on each call, so an alpha sweep does not
-grow the caches by an (m+1) x (m+1) matrix per alpha."""
+The alpha-free operators are built once per process: the Gauss-Jacobi rule
+(`basis.gauss_jacobi`, built with numpy alone) is memoised per (points, beta),
+and `build_sgdm`, `build_sgim` and `build_sgirv` per node set, which
+`basis.build_node_set` memoises per (lam, n); their arrays are read-only.
+Everything that depends on alpha (`build_rl_fsgim`, the bundle's `rl_frac` and
+`caputo`) is built afresh on each call, so an alpha sweep does not grow the
+caches by an (m+1) x (m+1) matrix per alpha."""
 
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ from functools import cache
 from math import gamma
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .basis import NodeSet, ParameterDomainError, cardinal_matrix
+from .basis import NodeSet, ParameterDomainError, cardinal_matrix, gauss_jacobi
 
 
 class DegenerateGridError(ValueError):
@@ -52,8 +52,9 @@ def build_sgdm(ns: NodeSet) -> np.ndarray:
 @cache
 def _gauss_jacobi(points: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes on [0, 1] and weights, scaled by 2^-beta / Gamma(beta), of the
-    points-point Gauss-Jacobi rule with weight (1-s)^(beta-1)."""
-    s, sw = roots_jacobi(points, beta - 1.0, 0.0)
+    points-point Gauss-Jacobi rule with weight (1-s)^(beta-1), `basis.gauss_jacobi`
+    with a = beta - 1 and b = 0."""
+    s, sw = gauss_jacobi(points, beta - 1.0, 0.0)
     return _read_only((s + 1.0) / 2.0), _read_only(sw * 2.0 ** (-beta) / gamma(beta))
 
 

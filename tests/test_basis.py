@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
-from scipy.special import roots_gegenbauer, roots_jacobi
+from scipy.special import roots_jacobi
 
 from fbbmb.basis import (
     ParameterDomainError,
     build_node_set,
     cardinal_matrix,
+    gauss_jacobi,
 )
 
-# lambda = 0 is scipy's Chebyshev branch of the Gauss-Gegenbauer rule
+# at lambda = 0 (a + b = -1) the general formula of the Jacobi matrix's first
+# off-diagonal entry is 0/0, and gauss_jacobi takes its closed form
 LAMBDAS = [0.1, 0.5, 1.0, 1.5, 0.0]
 
 
@@ -48,6 +50,35 @@ def gegenbauer_roots_mp(k, lam, guesses, dps=30, steps=3):
                 x -= c / dc
             roots.append(x)
         return roots
+
+
+class TestGaussJacobi:
+    """basis.gauss_jacobi, the one Gauss rule: the Gegenbauer case a = b = lam - 1/2
+    against roots in 30 digits, symmetry and the weights' mass."""
+
+    @pytest.mark.parametrize("lam", [-0.498, -0.45, 0.0, 0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 33, 64])
+    def test_gegenbauer_nodes_match_high_precision_roots(self, lam, n):
+        x, _ = gauss_jacobi(n + 1, lam - 0.5, lam - 0.5)
+        if lam == 0.0:
+            # C_k^(0) vanishes identically; its lam -> 0 limit is the Chebyshev T_k
+            with mpmath.workdps(30):
+                ref = [-mpmath.cos((2 * j + 1) * mpmath.pi / (2 * n + 2)) for j in range(n + 1)]
+        else:
+            ref = gegenbauer_roots_mp(n + 1, lam, x)
+        assert np.max(np.abs(x - np.array([float(r) for r in ref]))) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [-0.498, 0.0, 0.5, 2.0])
+    def test_gegenbauer_rule_symmetric(self, lam):
+        x, w = gauss_jacobi(10, lam - 0.5, lam - 0.5)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+
+    @pytest.mark.parametrize("a, b", [(-0.95, 0.0), (0.0, 0.0), (-0.5, -0.5), (1.5, -0.3)])
+    def test_weights_carry_the_mass(self, a, b):
+        # int_-1^1 (1-x)^a (1+x)^b dx = 2^(a+b+1) B(a+1, b+1)
+        _, w = gauss_jacobi(7, a, b)
+        assert w.sum() == pytest.approx(2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1), rel=1e-14)
 
 
 class TestBasisParams:
@@ -101,7 +132,7 @@ class TestNodeSetCache:
     @pytest.mark.parametrize("n", [0, 3, 16])
     def test_nodes_equal_uncached_rule(self, lam, n):
         build_node_set(lam, n)  # the second call below reads the cache
-        expected = (roots_gegenbauer(n + 1, lam)[0] + 1) / 2
+        expected = (gauss_jacobi(n + 1, lam - 0.5, lam - 0.5)[0] + 1) / 2
         assert np.array_equal(build_node_set(lam, n).nodes, expected)
 
     def test_compares_by_identity(self):

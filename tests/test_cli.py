@@ -3,6 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,11 @@ class TestRun:
         assert res.grid is not None
         assert len(res.grid) == 101 * 101
         assert res.aae < 1e-3
+
+    def test_grid_built_on_first_access(self):
+        res = run(RunConfig(problem="example2", alpha=0.5, n=6, m=6, error_mesh="uniform101"))
+        assert "grid" not in vars(res)
+        assert res.grid is res.grid and "grid" in vars(res)
 
     @pytest.mark.parametrize("mesh", ["slice=1.0", "uniform101"])
     def test_grid_rows_bit_equal_to_per_point_rows(self, mesh):
@@ -497,6 +506,19 @@ class TestMain:
         assert not row["converged"] and row["stop_reason"] == "max_iters"
         # one line per non-converged row says which run failed and why
         assert err == "warning: example2 alpha=0.5 n=5 m=5 did not converge: max_iters\n"
+
+    def test_run_loads_no_scipy_special(self):
+        # both Gauss rules (node sets and the RL quadrature) are built with numpy
+        # alone, so a fresh process that solves a case never imports scipy.special
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import sys, fbbmb.cli\n"
+                  "assert fbbmb.cli.main(['--problem', 'example2', '--n', '5', '--m', '5']) == 0\n"
+                  "print([m for m in sys.modules if m == 'scipy.special' or m.startswith('scipy.special.')])")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
     def test_removed_tol_flag_rejected(self, capsys):
         # convergence is the scale-free rounding floor, with no threshold to set

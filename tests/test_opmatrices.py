@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from fbbmb.basis import ParameterDomainError, build_node_set
 from fbbmb.opmatrices import (
     DegenerateGridError,
+    _gauss_jacobi,
     build_operator_bundle,
     build_rl_fsgim,
     build_sgdm,
@@ -201,6 +204,30 @@ class TestCaputoMatrix:
         for k in range(1, 8):
             expected = np.array([caputo_power_rule(k, alpha, t) for t in ns8.nodes])
             np.testing.assert_allclose(A @ ns8.nodes**k, expected, atol=1e-8)
+
+
+class TestGaussJacobiRule:
+    """The scaled rule under every integration matrix: nodes s on [0, 1] and
+    weights for (1-s)^(beta-1) / Gamma(beta), exact to degree 2 * points - 1."""
+
+    POINTS = [1, 2, 3, 5, 8, 17, 33, 64, 65]
+
+    @staticmethod
+    def worst_moment_error(s, sw, beta):
+        # int_0^1 (1-s)^(beta-1) s^j ds / Gamma(beta) = Gamma(j+1) / Gamma(j+1+beta)
+        exact = [float(mpmath.gamma(j + 1) / mpmath.gamma(j + 1 + mpmath.mpf(beta)))
+                 for j in range(2 * s.size)]
+        return max(abs(sw @ s**j - e) / e for j, e in enumerate(exact))
+
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 0.9, 1.0])
+    def test_moments_exact_and_no_worse_than_scipy(self, beta):
+        ours, scipys = [], []
+        for points in self.POINTS:
+            ours.append(self.worst_moment_error(*_gauss_jacobi.__wrapped__(points, beta), beta))
+            x, w = roots_jacobi(points, beta - 1.0, 0.0)
+            scipys.append(self.worst_moment_error((x + 1) / 2, w * 2.0**-beta / math.gamma(beta), beta))
+        assert max(ours) <= 1e-12, dict(zip(self.POINTS, ours))
+        assert max(ours) <= max(scipys), (ours, scipys)
 
 
 class TestOperatorBundle:

@@ -424,7 +424,8 @@ class TestRoundingLevelStop:
     def test_held_step_kept_only_on_a_hundredfold_fall(self, monkeypatch, method):
         # at every iterate above its rounding level after the first LU, the
         # held LU's step is kept, with no Jacobian built, exactly when it cuts
-        # the merit at least 100-fold; otherwise J is factored at that iterate
+        # the merit to CHORD_CONTRACTION times its value or less; otherwise J
+        # is factored at that iterate
         spec = self.scaled_example2(10)(0.5)
         sys8 = make_system(spec, 8, 8)
         rep, levels, factored = self.traced_solve(monkeypatch, sys8, method)
@@ -473,10 +474,10 @@ class TestStressFixture:
     SENSITIVE: list[int] = []
 
     @staticmethod
-    def draw():
+    def draw(count=100):
         rng = random.Random(7)
         cases = []
-        for _ in range(100):
+        for _ in range(count):
             k, p, A = rng.choice((-2, -1, 1, 2)), rng.choice((2, 3)), 10 ** rng.uniform(-3, 4.5)
             alpha, n = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9, 1)), rng.choice((8, 10, 12))
             cases.append((k, p, A, alpha, n, rng.choice((0, 0.5, 1))))
@@ -510,6 +511,13 @@ class TestStressFixture:
         assert [i for i, (_, rep, *_, right) in kept if rep.converged and not right] \
             == self.FALSE[method]
         assert sum(right for _, (*_, right) in kept) == self.RIGHT[method]
+
+    @pytest.mark.parametrize("index, method", [(209, "newton"), (146, "trust_region")])
+    def test_chord_steps_keep_a_right_answer(self, index, method):
+        # two cases past the fixture's 100 draws that chord steps kept at a
+        # tenfold fall of ||G|| sent astray, to "max_iters" after 99 LUs
+        _, rep, *_, right = self.solve_case(self.draw(500)[index], method)
+        assert rep.converged and right
 
     def test_no_outcome_turns_on_the_last_bit_of_the_data(self, solved):
         scale = 1.0 + 4.0 * np.finfo(float).eps
