@@ -200,6 +200,20 @@ class TestNodeSet:
         signs = np.sign(ns.bary_weights)
         assert np.all(signs[:-1] * signs[1:] == -1)
 
+    @pytest.mark.parametrize("lam", [-0.498, -0.45, 0.0, 0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 96])
+    def test_bary_weights_match_node_products(self, lam, n):
+        # the weights taken from the Gauss rule against their definition,
+        # 1 / prod_{k != j} (x_j - x_k) over the node set's own nodes in 40 digits
+        ns = build_node_set(lam, n)
+        with mpmath.workdps(40):
+            x = [mpmath.mpf(float(v)) for v in ns.nodes]
+            ref = [1 / mpmath.fprod(x[j] - x[k] for k in range(n + 1) if k != j)
+                   for j in range(n + 1)]
+            ref = np.array([float(r / max(map(abs, ref))) for r in ref])
+        got = ns.bary_weights / np.max(np.abs(ns.bary_weights))
+        assert np.max(np.abs(got - ref)) <= 4e-14
+
     def test_large_n_no_overflow(self):
         ns = build_node_set(0.5, 80)
         assert np.all(np.isfinite(ns.bary_weights))

@@ -34,6 +34,14 @@ from fbbmb.problems import REGISTRY
 from fbbmb.solver import SolveReport, SolverConfig, solve
 
 
+def run_fresh_process(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter that imports this checkout's fbbmb."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def parse_run_result_csv(text: str) -> list[dict]:
     """Round-trip reader for the CSV emitted by format_csv."""
     rows = []
@@ -423,6 +431,12 @@ class TestMain:
         assert code == EXIT_INVALID_CONFIG
         assert calls == []
 
+    def test_lambda_outside_window_runs_no_row(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.run", calls.append)
+        assert main(["--problem", "example2", "--lambda", "-0.6"]) == EXIT_INVALID_CONFIG
+        assert calls == []
+
     def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr("fbbmb.cli.run", calls.append)
@@ -510,15 +524,22 @@ class TestMain:
     def test_run_loads_no_scipy_special(self):
         # both Gauss rules (node sets and the RL quadrature) are built with numpy
         # alone, so a fresh process that solves a case never imports scipy.special
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        script = ("import sys, fbbmb.cli\n"
-                  "assert fbbmb.cli.main(['--problem', 'example2', '--n', '5', '--m', '5']) == 0\n"
-                  "print([m for m in sys.modules if m == 'scipy.special' or m.startswith('scipy.special.')])")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh_process(
+            "import sys, fbbmb.cli\n"
+            "assert fbbmb.cli.main(['--problem', 'example2', '--n', '5', '--m', '5']) == 0\n"
+            "print([m for m in sys.modules if m == 'scipy.special' or m.startswith('scipy.special.')])")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+    def test_lambda_star_warning_printed_once(self):
+        # RunConfig and the node sets of every cascade level check lam; a fresh
+        # process sweeping two cascading rows near LAMBDA_STAR warns in one line
+        proc = run_fresh_process(
+            "import fbbmb.cli\n"
+            "raise SystemExit(fbbmb.cli.main(['--problem', 'example2', '--lambda', '-0.14', '--n', '16',"
+            " '--m', '16', '--sweep-alpha', '0.5,0.9', '--format', 'csv']))")
+        assert proc.returncode == 0, proc.stderr
+        assert sum("error-amplifying" in line for line in proc.stderr.splitlines()) == 1, proc.stderr
 
     def test_removed_tol_flag_rejected(self, capsys):
         # convergence is the scale-free rounding floor, with no threshold to set
