@@ -45,15 +45,14 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
-        if self.exact is not None:
-            phi_0, psi1_0, phi_1, psi2_0 = self.phi(0.0), self.psi1(0.0), self.phi(1.0), self.psi2(0.0)
-            # relative to the data's size, so that rounding in large data
-            # passes it; written as `not <=` so that a NaN corner fails it
-            tol = 1e-10 * max(1.0, abs(phi_0), abs(psi1_0), abs(phi_1), abs(psi2_0))
-            if not abs(phi_0 - psi1_0) <= tol:
-                raise ValueError("incompatible corner data: phi(0) != psi1(0+)")
-            if not abs(phi_1 - psi2_0) <= tol:
-                raise ValueError("incompatible corner data: phi(1) != psi2(0+)")
+        phi_0, psi1_0, phi_1, psi2_0 = self.phi(0.0), self.psi1(0.0), self.phi(1.0), self.psi2(0.0)
+        # relative to the data's size, so that rounding in large data passes
+        # it; written as `not <=` so that a NaN corner fails it
+        tol = 1e-10 * max(1.0, abs(phi_0), abs(psi1_0), abs(phi_1), abs(psi2_0))
+        if not abs(phi_0 - psi1_0) <= tol:
+            raise ValueError("incompatible corner data: phi(0) != psi1(0+)")
+        if not abs(phi_1 - psi2_0) <= tol:
+            raise ValueError("incompatible corner data: phi(1) != psi2(0+)")
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,10 @@ builds it and LAPACK getrf overwrites it with its LU factors. `solve` holds
 those factors for the chord steps and the rounding-level stop's last
 correction (below), and drops them before the next Jacobian is built and when
 it returns, so that buffer is the only O(N^2) array a solve holds: the
-condition estimate and the triangular solves read U and L1 where getrf left
-them, as the top N rows of that (N+m+1) x N buffer. Everything else the loop
-needs of J (J^T G for the dogleg's gradient, J p for predicted decreases)
-comes from the matrix-free products `jvp` and `vjp`.
+triangular solves read U and L1 where getrf left them, as the top N rows of
+that (N+m+1) x N buffer. Everything else the loop needs of J (J^T G for the
+dogleg's gradient, J p for predicted decreases) comes from the matrix-free
+products `jvp` and `vjp`.
 
 Each Gauss-Newton step is a rectangular-LU least-squares solve (Peters &
 Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
@@ -57,11 +57,14 @@ P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
 min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
 so it is solved through its (m+1) x (m+1) normal equations by Cholesky.
 Back-substitution through L1 and U gives the step. `_lu_factor` alone decides
-whether to trust the LU: it takes getrf, dtrcon, B^T and potrf of B B^T + I,
-and rejects an exact zero pivot, rcond(U) below eps * rows or a failed
-Cholesky, after which J is built again and the step is the minimum-norm
-solution by QR with column pivoting (LAPACK gelsy); the report warns if J has
-lost rank. `_lu_step` only solves: laswp, potrs and two triangular solves.
+whether to trust the LU: it takes getrf, B^T and potrf of B B^T + I, and
+rejects it only on an exact zero pivot or a failed Cholesky. J is then built
+again and the step is the minimum-norm solution by QR with column pivoting
+(LAPACK gelsy), which overwrites that J; the report warns if J has lost rank.
+No condition estimate gates the LU: where rcond(U) < eps * rows (example1 at
+n = m = 64, lambda = -0.49), gelsy finds full rank and the LU's step to
+roundoff, at ten times the cost. `_lu_step` only solves: laswp, potrs and two
+triangular solves.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
@@ -83,12 +86,11 @@ not, since ||J|| grows like n^2.
 
 from __future__ import annotations
 
-import ctypes
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack, get_lapack_funcs, lstsq
+from scipy.linalg import get_lapack_funcs
 
 from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, rounding_scale, vjp
 
@@ -97,42 +99,8 @@ MAX_TRIALS = 30  # shortened steps the line search or the dogleg tries per itera
 CHORD_CONTRACTION = 0.003  # a held LU's step is kept if the merit falls at least this much
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
-_getrf, _trtrs, _laswp, _potrf, _potrs = get_lapack_funcs(
-    ("getrf", "trtrs", "laswp", "potrf", "potrs"), dtype=float)
-
-
-def _cython_lapack(name, *argtypes):
-    """LAPACK's `name` as scipy.linalg.cython_lapack exports it, as a ctypes
-    function of the given argument types that returns nothing."""
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    capsule = cython_lapack.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT_P = ctypes.POINTER(ctypes.c_int)
-# dtrcon(norm, uplo, diag, n, a, lda, rcond, work, iwork, info)
-_dtrcon = _cython_lapack(
-    "dtrcon", ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P, ctypes.c_void_p,
-    _INT_P, ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_void_p, _INT_P)
-
-
-def _trcon(lu: np.ndarray, n: int) -> tuple[float, int]:
-    """(rcond, info) of the upper triangle of the top n rows of the
-    Fortran-ordered `lu`, read in place: LAPACK dtrcon in the 1-norm with
-    leading dimension lu.shape[0]. (scipy's f2py trcon takes no leading
-    dimension, and handed an M x n array it estimates the wrong matrix.)"""
-    if not (lu.ndim == 2 and lu.flags.f_contiguous and lu.dtype == np.float64
-            and 0 <= n <= min(lu.shape)):
-        raise ValueError("_trcon needs a Fortran-ordered float64 array of at least n x n")
-    order, lda = ctypes.c_int(n), ctypes.c_int(lu.shape[0])
-    rcond, info = ctypes.c_double(), ctypes.c_int()
-    work, iwork = np.empty(3 * n), np.empty(n, dtype=np.intc)
-    _dtrcon(b"1", b"U", b"N", ctypes.byref(order), lu.ctypes.data, ctypes.byref(lda),
-            ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
-    return rcond.value, info.value
+_getrf, _trtrs, _laswp, _potrf, _potrs, _gelsy, _gelsy_lwork = get_lapack_funcs(
+    ("getrf", "trtrs", "laswp", "potrf", "potrs", "gelsy", "gelsy_lwork"), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -191,9 +159,9 @@ def _lu_factor(sys, v):
     J = jacobian(sys, v)
     N = J.shape[1]
     # the top N rows of lu hold the unit L1 below the diagonal and U on and
-    # above it; trcon and trtrs read that N x N block in place (their lda is M)
+    # above it; trtrs reads that N x N block in place (its lda is M)
     lu, piv, info = _getrf(J, overwrite_a=1)
-    if info > 0 or _trcon(lu, N)[0] < EPS * J.shape[0]:
+    if info > 0:
         return None
     Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
     chol, info = _potrf(Bt.T @ Bt + np.eye(Bt.shape[1]))
@@ -214,14 +182,16 @@ def _lu_step(factors, G):
 
 
 def _min_norm_step(J, G, warns, k):
-    # eps * rows, the rank cutoff of np.linalg.lstsq (J has more rows than
-    # columns); at scipy's default (eps) the roundoff of an exactly
-    # rank-deficient J can count as rank and blow up the step
-    rcond = EPS * J.shape[0]
-    step, _, rank, _ = lstsq(J, -G, cond=rcond, lapack_driver="gelsy", check_finite=False)
-    if rank < J.shape[1]:
-        warns.append(f"iteration {k}: Jacobian rank {rank} < {J.shape[1]}")
-    return step
+    # cond = eps * rows, the rank cutoff of np.linalg.lstsq (J has more rows
+    # than columns): at eps the roundoff of an exactly rank-deficient J can
+    # count as rank and blow up the step. gelsy factors J, a fresh build, in
+    # place (scipy's lstsq would copy it)
+    M, N = J.shape
+    lwork, _ = _gelsy_lwork(M, N, 1, EPS * M)
+    _, x, _, rank, _ = _gelsy(J, -G, np.zeros(N, np.intc), EPS * M, int(lwork), overwrite_a=1)
+    if rank < N:
+        warns.append(f"iteration {k}: Jacobian rank {rank} < {N}")
+    return x[:N]
 
 
 def _rounding_level(v, G, scale):

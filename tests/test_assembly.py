@@ -100,6 +100,13 @@ class TestProblemSpec:
                 exact=lambda x, t: x * t,
             )
 
+    def test_corner_checked_without_exact_solution(self):
+        # the check reads only phi and the traces, so a spec with no exact
+        # solution is checked too
+        with pytest.raises(ValueError, match=r"phi\(0\) != psi1"):
+            ProblemSpec(alpha=0.5, phi=lambda x: 1.0, psi1=lambda t: 0.0,
+                        psi2=lambda t: 1.0, f=lambda x, t: x * t)
+
     @pytest.mark.parametrize("phi, psi1, accepted", [
         # corners that differ only by rounding, at 3e8: the absolute 1e-10 rejected them
         (lambda x: 3e8 * (0.1 + 0.2 + x), lambda t: 3e8 * 0.3, True),

@@ -12,11 +12,12 @@ import fbbmb.solver
 
 from fbbmb.assembly import assemble, jacobian, jvp, residual, vjp
 from fbbmb.basis import build_node_set
+from fbbmb.cli import RunConfig, run
 from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import REGISTRY, example1, example2, make_separable_problem
 from fbbmb.solver import SolverConfig, newton_step, solve
 
-getrf, trcon, trtrs = get_lapack_funcs(("getrf", "trcon", "trtrs"), dtype=float)
+getrf, trtrs = get_lapack_funcs(("getrf", "trtrs"), dtype=float)
 
 
 def make_system(spec, n, m):
@@ -80,19 +81,17 @@ class TestLeastSquaresStep:
         assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
         assert warns == []
 
-    def test_rank_deficient_gives_minimum_norm_step_and_warns(self, sys_ex1, monkeypatch):
-        N = sys_ex1.F.size
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((N + 5, 20)) @ rng.standard_normal((20, N))
-        b = rng.standard_normal(N + 5)
-        # a fresh Fortran-ordered copy per call, as jacobian returns, so the
-        # LU overwrites it and the handler must build its own
-        monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(A, order="F"))
-        warns = []
-        step, factors = newton_step(sys_ex1, np.zeros(N), -b, warns, 3)
-        assert factors is None
-        np.testing.assert_allclose(step, np.linalg.pinv(A) @ b, rtol=1e-10, atol=1e-12)
-        assert warns == [f"iteration 3: Jacobian rank 20 < {N}"]
+    def test_small_rcond_u_keeps_the_lu_step(self, monkeypatch):
+        # example1 at n = m = 64, lambda = -0.49 has rcond(U) of about
+        # 0.7 eps * rows, yet J has full rank and the LU's step is the
+        # least-squares step; no step may go to the pivoted-QR handler
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the pivoted-QR handler ran on a full-rank Jacobian")
+
+        monkeypatch.setattr(fbbmb.solver, "_gelsy", no_fallback)
+        result = run(RunConfig(problem="example1", alpha=0.5, n=64, m=64, lam=-0.49))
+        assert result.stop_reason == "floor"
+        assert abs(result.aae - 4.27e-8) <= 0.1 * 4.27e-8
 
 
 class TestRectangularLuStep:
@@ -102,7 +101,7 @@ class TestRectangularLuStep:
         def no_fallback(*args, **kwargs):
             raise AssertionError("the pivoted-QR handler ran on a full-rank Jacobian")
 
-        monkeypatch.setattr(fbbmb.solver, "lstsq", no_fallback)
+        monkeypatch.setattr(fbbmb.solver, "_gelsy", no_fallback)
         sys_n = make_system(factory(0.5), n, n)
         v = np.zeros(sys_n.F.size)
         G = residual(sys_n, v)
@@ -111,10 +110,15 @@ class TestRectangularLuStep:
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     def test_fallback_factors_a_fresh_jacobian(self, monkeypatch):
-        # the LU overwrites the Jacobian it factors, so when the condition
-        # test rejects the LU the handler must get a newly built one
+        # the LU overwrites the Jacobian it factors, so when getrf's info
+        # rejects the LU the handler must get a newly built one
         sys8 = make_system(example2(0.5), 8, 8)
-        monkeypatch.setattr(fbbmb.solver, "_trcon", lambda *args, **kwargs: (0.0, 0))
+
+        def zero_pivot_getrf(a, overwrite_a):
+            lu, piv, _ = getrf(a, overwrite_a=overwrite_a)
+            return lu, piv, 1
+
+        monkeypatch.setattr(fbbmb.solver, "_getrf", zero_pivot_getrf)
         v = 0.1 * np.ones(sys8.F.size)
         G = residual(sys8, v)
         warns = []
@@ -123,7 +127,6 @@ class TestRectangularLuStep:
         assert factors is None
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert warns == []
-
 
     def test_posv_failure_takes_the_min_norm_step(self, monkeypatch):
         # potrf failing on the correction's normal equations rejects the LU at
@@ -142,7 +145,7 @@ class TestRectangularLuStep:
 
     def test_exact_zero_pivot_takes_the_min_norm_step(self, sys_ex1, monkeypatch):
         # a zero column leaves getrf an exact zero pivot (info = 4), which
-        # rejects the LU before its condition is estimated
+        # rejects the LU
         N = sys_ex1.F.size
         v = 0.1 * np.ones(N)
         G = residual(sys_ex1, v)
@@ -150,11 +153,6 @@ class TestRectangularLuStep:
         J[:, 3] = 0.0
         assert getrf(J)[2] == 4
         monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
-
-        def no_trcon(*args):
-            raise AssertionError("the condition of a zero-pivot LU was estimated")
-
-        monkeypatch.setattr(fbbmb.solver, "_trcon", no_trcon)
         warns = []
         step, factors = newton_step(sys_ex1, v, G, warns, 2)
         assert factors is None
@@ -166,13 +164,6 @@ class TestInPlaceFactor:
     # newton_step reads U and L1 from the top N rows of the (N+m+1) x N LU
     # buffer, with leading dimension N+m+1, instead of from a copy of that block
     @pytest.mark.parametrize("M, N", [(9, 6), (420, 400), (24, 16)])  # 24 x 16: n = 1, m = 7
-    def test_trcon_equals_f2py_trcon_on_the_copied_block(self, M, N):
-        rng = np.random.default_rng(M)
-        lu, _, info = getrf(np.asfortranarray(rng.standard_normal((M, N))))
-        assert info == 0
-        assert fbbmb.solver._trcon(lu, N) == trcon(np.asfortranarray(lu[:N]))
-
-    @pytest.mark.parametrize("M, N", [(9, 6), (420, 400), (24, 16)])
     def test_trtrs_reads_the_top_block_in_place(self, M, N):
         rng = np.random.default_rng(M)
         lu, _, _ = getrf(np.asfortranarray(rng.standard_normal((M, N))))
@@ -183,16 +174,6 @@ class TestInPlaceFactor:
         Bt_in_place, _ = trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
         Bt_copied, _ = trtrs(top, lu[N:].T, lower=1, trans=1, unitdiag=1)
         assert np.array_equal(Bt_in_place, Bt_copied)
-
-    def test_trcon_of_exactly_singular_u_is_zero(self):
-        rng = np.random.default_rng(0)
-        lu = np.asfortranarray(np.triu(rng.standard_normal((9, 6))))
-        lu[3, 3] = 0.0
-        assert fbbmb.solver._trcon(lu, 6) == (0.0, 0)
-
-    def test_trcon_rejects_a_c_ordered_array(self):
-        with pytest.raises(ValueError):
-            fbbmb.solver._trcon(np.eye(4), 3)
 
     def test_step_holds_no_second_jacobian_sized_array(self, monkeypatch):
         # the step's Jacobian is a fresh copy of a prebuilt one, allocated
@@ -210,6 +191,25 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * J.nbytes
+
+    def test_min_norm_step_holds_one_jacobian(self, monkeypatch):
+        # on an exact zero pivot the rejected LU is dropped before J is built
+        # again, and gelsy factors that J in place rather than a copy of it
+        sys20 = make_system(example2(0.5), 20, 20)
+        v = np.zeros(sys20.F.size)
+        G = residual(sys20, v)
+        J = jacobian(sys20, v)
+        J[:, 3] = 0.0
+        monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
+        warns = []
+        tracemalloc.start()
+        try:
+            _, factors = newton_step(sys20, v, G, warns, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert factors is None and len(warns) == 1
+        assert peak < 1.5 * J.nbytes
 
 
 class TestStopReasons:
