@@ -14,9 +14,9 @@ radius can end the loop. The solver reads the system only through
 There is one iteration loop. Each pass tests the merit against its rounding
 level, tries a chord step (below), takes the Gauss-Newton step, tests the
 rounding floor, and shortens the step until it lowers the merit; it stops
-"stagnation" when MAX_TRIALS shortened steps find no decrease, and "max_iters"
-after cfg.max_iters steps. `iterations` and cfg.max_iters count every accepted
-step, chord steps included.
+"stagnation" when MAX_TRIALS shortened steps find no decrease, "max_iters"
+after cfg.max_iters steps, and "singular" when the LU is rejected (below).
+`iterations` and cfg.max_iters count every accepted step, chord steps included.
 `cfg.method` picks only the shortening (Nocedal & Wright, Numerical
 Optimization, ch. 10-11): "newton" halves the step (`_line_search`);
 "trust_region" blends it with the Cauchy step inside a radius carried from one
@@ -56,15 +56,12 @@ Wilkinson 1970; Bjorck 1996, sec. 2.5): LU with partial pivoting gives
 P J = [L1; L2] U, B = L2 L1^-1, and the remaining (m+1)-column correction
 min ||[B^T; I] s - [c1; -c2]|| is well-conditioned (||B||_2 is a few units),
 so it is solved through its (m+1) x (m+1) normal equations by Cholesky.
-Back-substitution through L1 and U gives the step. `_lu_factor` alone decides
-whether to trust the LU: it takes getrf, B^T and potrf of B B^T + I, and
-rejects it only on an exact zero pivot or a failed Cholesky. J is then built
-again and the step is the minimum-norm solution by QR with column pivoting
-(LAPACK gelsy), which overwrites that J; the report warns if J has lost rank.
-No condition estimate gates the LU: where rcond(U) < eps * rows (example1 at
-n = m = 64, lambda = -0.49), gelsy finds full rank and the LU's step to
-roundoff, at ten times the cost. `_lu_step` only solves: laswp, potrs and two
-triangular solves.
+Back-substitution through L1 and U gives the step. `newton_step` alone decides
+whether to trust the LU: it rejects it only when getrf reports an exact zero
+pivot or potrf fails on B B^T + I, and `solve` then stops "singular". No
+condition estimate gates the LU: where rcond(U) < eps * rows (example1 at
+n = m = 64, lambda = -0.49), its step is still the least-squares step to
+roundoff. `_lu_step` only solves: laswp, potrs and two triangular solves.
 
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
@@ -99,8 +96,8 @@ MAX_TRIALS = 30  # shortened steps the line search or the dogleg tries per itera
 CHORD_CONTRACTION = 0.003  # a held LU's step is kept if the merit falls at least this much
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
-_getrf, _trtrs, _laswp, _potrf, _potrs, _gelsy, _gelsy_lwork = get_lapack_funcs(
-    ("getrf", "trtrs", "laswp", "potrf", "potrs", "gelsy", "gelsy_lwork"), dtype=float)
+_getrf, _trtrs, _laswp, _potrf, _potrs = get_lapack_funcs(
+    ("getrf", "trtrs", "laswp", "potrf", "potrs"), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,13 @@ class SolveReport:
     """The returned iterate `v`, its nodal solution `u`, and how the loop ended.
 
     `final_residual` is ||G||_inf at `v`. `iterations` counts the accepted
-    steps, chord steps included, and `factorizations` the LUs taken (rejected
-    ones included). `stop_reason` names the test that
-    ended the iteration: "floor" (the merit, or the step's predicted decrease,
-    is within the merit's rounding level), the one converged verdict;
-    "stagnation" (MAX_TRIALS shortened steps found no decrease) or "max_iters"
-    (cfg.max_iters steps taken), not converged."""
+    steps, chord steps included, and `factorizations` the LUs taken, the one
+    rejected LU that ends a "singular" solve included. `stop_reason` names the
+    test that ended the iteration: "floor" (the merit, or the step's predicted
+    decrease, is within the merit's rounding level), the one converged verdict;
+    "stagnation" (MAX_TRIALS shortened steps found no decrease), "max_iters"
+    (cfg.max_iters steps taken) or "singular" (`newton_step` rejected the LU),
+    not converged."""
 
     v: np.ndarray
     u: np.ndarray
@@ -135,41 +133,36 @@ class SolveReport:
     wall_time: float
     stop_reason: str
     factorizations: int = 0
-    warnings: tuple[str, ...] = ()
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "floor"
 
 
-def newton_step(sys: DiscreteSystem, v: np.ndarray, G: np.ndarray, warns: list[str],
-                k: int) -> tuple[np.ndarray, tuple | None]:
+def newton_step(sys: DiscreteSystem, v: np.ndarray,
+                G: np.ndarray) -> tuple[np.ndarray | None, tuple | None]:
     """(p, factors): p minimizes ||J p + G|| for the Jacobian J at v, by
-    rectangular LU (see the module docstring). `factors` holds that LU for
-    `_lu_step`, or is None when the minimum-norm handler gave p."""
-    factors = _lu_factor(sys, v)
-    if factors is None:
-        return _min_norm_step(jacobian(sys, v), G, warns, k), None
-    return _lu_step(factors, G), factors
-
-
-def _lu_factor(sys, v):
-    """(lu, piv, B^T, chol) of [J(v); C], factored in place in the buffer
-    `jacobian` returns (chol: Cholesky of B B^T + I), or None if rejected."""
+    rectangular LU (see the module docstring), and `factors` = (lu, piv, B^T,
+    chol) holds that LU for `_lu_step`, factored in place in the buffer
+    `jacobian` returns (chol: Cholesky of B B^T + I). (None, None) when getrf
+    reports an exact zero pivot or potrf fails."""
     J = jacobian(sys, v)
     N = J.shape[1]
     # the top N rows of lu hold the unit L1 below the diagonal and U on and
     # above it; trtrs reads that N x N block in place (its lda is M)
     lu, piv, info = _getrf(J, overwrite_a=1)
     if info > 0:
-        return None
+        return None, None
     Bt, _ = _trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
     chol, info = _potrf(Bt.T @ Bt + np.eye(Bt.shape[1]))
-    return None if info != 0 else (lu, piv, Bt, chol)
+    if info != 0:
+        return None, None
+    factors = (lu, piv, Bt, chol)
+    return _lu_step(factors, G), factors
 
 
 def _lu_step(factors, G):
-    """min ||J p + G|| from the factors `_lu_factor` accepted. The triangular
+    """min ||J p + G|| from the factors `newton_step` accepted. The triangular
     solves cannot fail: getrf left no zero pivot in U, and L1 is unit."""
     lu, piv, Bt, chol = factors
     N = lu.shape[1]
@@ -179,19 +172,6 @@ def _lu_step(factors, G):
     y, _ = _trtrs(lu, c1 - Bt @ s, lower=1, unitdiag=1)
     step, _ = _trtrs(lu, y)
     return step
-
-
-def _min_norm_step(J, G, warns, k):
-    # cond = eps * rows, the rank cutoff of np.linalg.lstsq (J has more rows
-    # than columns): at eps the roundoff of an exactly rank-deficient J can
-    # count as rank and blow up the step. gelsy factors J, a fresh build, in
-    # place (scipy's lstsq would copy it)
-    M, N = J.shape
-    lwork, _ = _gelsy_lwork(M, N, 1, EPS * M)
-    _, x, _, rank, _ = _gelsy(J, -G, np.zeros(N, np.intc), EPS * M, int(lwork), overwrite_a=1)
-    if rank < N:
-        warns.append(f"iteration {k}: Jacobian rank {rank} < {N}")
-    return x[:N]
 
 
 def _rounding_level(v, G, scale):
@@ -282,7 +262,6 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
     if v.shape != (N,) or not np.all(np.isfinite(v)):
         raise ValueError(f"v0 must be N = {N} finite numbers")
     scale = rounding_scale(sys)
-    warns: list[str] = []
     radius = None
     factors = None  # the LU of the last Jacobian, held until the next is built
     factorizations = 0
@@ -308,8 +287,11 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
             step = None if factors is None else _lu_step(factors, G)
         else:
             factors = None  # free the last LU before the next Jacobian is built
-            step, factors = newton_step(sys, v, G, warns, k)
+            step, factors = newton_step(sys, v, G)
             factorizations += 1
+            if factors is None:
+                reason = "singular"
+                break
         if at_level or finite and _at_floor(sys, v, step, level):
             # take the full step unless it is missing or raises the merit
             if step is not None:
@@ -330,4 +312,4 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
         v = v + p
         k += 1
     return SolveReport(v, reconstruct(sys, v), k, float(np.max(np.abs(G))),
-                       time.perf_counter() - t0, reason, factorizations, tuple(warns))
+                       time.perf_counter() - t0, reason, factorizations)

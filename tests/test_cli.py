@@ -14,6 +14,7 @@ import pytest
 import fbbmb.basis as basis
 import fbbmb.cli as cli
 import fbbmb.opmatrices as opmatrices
+import fbbmb.solver as solver
 from fbbmb.assembly import assemble, compute_aae, evaluate_on_mesh
 from fbbmb.basis import build_node_set
 from fbbmb.cli import (
@@ -511,15 +512,21 @@ class TestMain:
         assert main([]) == EXIT_OK
         assert calls == [RunConfig()]
 
-    def test_nonconvergence_exit_code(self, capsys):
-        code = main(["--problem", "example2", "--n", "5", "--m", "5", "--max-iters", "1",
-                     "--format", "csv"])
-        assert code == EXIT_NO_CONVERGENCE
+    @pytest.mark.parametrize("reason", ["max_iters", "singular"])
+    def test_nonconvergence_exit_code(self, capsys, monkeypatch, reason):
+        args = ["--problem", "example2", "--n", "5", "--m", "5", "--format", "csv"]
+        if reason == "max_iters":
+            args += ["--max-iters", "1"]
+        else:  # getrf reports an exact zero pivot, which rejects the LU
+            getrf = solver._getrf
+            monkeypatch.setattr(solver, "_getrf", lambda a, overwrite_a:
+                                getrf(a, overwrite_a=overwrite_a)[:2] + (1,))
+        assert main(args) == EXIT_NO_CONVERGENCE
         out, err = capsys.readouterr()
         (row,) = parse_run_result_csv(out)
-        assert not row["converged"] and row["stop_reason"] == "max_iters"
+        assert not row["converged"] and row["stop_reason"] == reason
         # one line per non-converged row says which run failed and why
-        assert err == "warning: example2 alpha=0.5 n=5 m=5 did not converge: max_iters\n"
+        assert err == f"warning: example2 alpha=0.5 n=5 m=5 did not converge: {reason}\n"
 
     def test_run_loads_no_scipy_special(self):
         # both Gauss rules (node sets and the RL quadrature) are built with numpy

@@ -20,6 +20,12 @@ from fbbmb.solver import SolverConfig, newton_step, solve
 getrf, trtrs = get_lapack_funcs(("getrf", "trtrs"), dtype=float)
 
 
+def zero_pivot_getrf(a, overwrite_a):
+    """getrf whose info reports an exact zero pivot."""
+    lu, piv, _ = getrf(a, overwrite_a=overwrite_a)
+    return lu, piv, 1
+
+
 def make_system(spec, n, m):
     ns_x = build_node_set(0.5, n)
     ns_t = build_node_set(0.5, m)
@@ -75,20 +81,21 @@ class TestLeastSquaresStep:
         sys8 = make_system(example2(0.5), 8, 8)
         v = np.zeros(sys8.F.size)
         G = residual(sys8, v)
-        warns = []
-        step, _ = newton_step(sys8, v, G, warns, 0)
+        step, factors = newton_step(sys8, v, G)
         oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
+        assert factors is not None
         assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
-        assert warns == []
 
     def test_small_rcond_u_keeps_the_lu_step(self, monkeypatch):
         # example1 at n = m = 64, lambda = -0.49 has rcond(U) of about
         # 0.7 eps * rows, yet J has full rank and the LU's step is the
-        # least-squares step; no step may go to the pivoted-QR handler
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("the pivoted-QR handler ran on a full-rank Jacobian")
+        # least-squares step; every LU of the cascade is accepted
+        def accepted_step(sys, v, G):
+            step, factors = newton_step(sys, v, G)
+            assert factors is not None
+            return step, factors
 
-        monkeypatch.setattr(fbbmb.solver, "_gelsy", no_fallback)
+        monkeypatch.setattr(fbbmb.solver, "newton_step", accepted_step)
         result = run(RunConfig(problem="example1", alpha=0.5, n=64, m=64, lam=-0.49))
         assert result.stop_reason == "floor"
         assert abs(result.aae - 4.27e-8) <= 0.1 * 4.27e-8
@@ -97,67 +104,43 @@ class TestLeastSquaresStep:
 class TestRectangularLuStep:
     @pytest.mark.parametrize("factory", [example1, example2])
     @pytest.mark.parametrize("n", [8, 16])
-    def test_matches_svd_least_squares(self, factory, n, monkeypatch):
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("the pivoted-QR handler ran on a full-rank Jacobian")
-
-        monkeypatch.setattr(fbbmb.solver, "_gelsy", no_fallback)
+    def test_matches_svd_least_squares(self, factory, n):
         sys_n = make_system(factory(0.5), n, n)
         v = np.zeros(sys_n.F.size)
         G = residual(sys_n, v)
-        step, _ = newton_step(sys_n, v, G, [], 0)
+        step, factors = newton_step(sys_n, v, G)
         oracle, *_ = np.linalg.lstsq(jacobian(sys_n, v), -G, rcond=None)
+        assert factors is not None
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
-    def test_fallback_factors_a_fresh_jacobian(self, monkeypatch):
-        # the LU overwrites the Jacobian it factors, so when getrf's info
-        # rejects the LU the handler must get a newly built one
+    def test_zero_pivot_info_rejects_the_lu(self, monkeypatch):
+        # getrf's info reporting an exact zero pivot rejects the LU: no step
+        # and no factors
         sys8 = make_system(example2(0.5), 8, 8)
-
-        def zero_pivot_getrf(a, overwrite_a):
-            lu, piv, _ = getrf(a, overwrite_a=overwrite_a)
-            return lu, piv, 1
-
         monkeypatch.setattr(fbbmb.solver, "_getrf", zero_pivot_getrf)
         v = 0.1 * np.ones(sys8.F.size)
-        G = residual(sys8, v)
-        warns = []
-        step, factors = newton_step(sys8, v, G, warns, 0)
-        oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
-        assert factors is None
-        assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
-        assert warns == []
+        step, factors = newton_step(sys8, v, residual(sys8, v))
+        assert step is None and factors is None
 
-    def test_posv_failure_takes_the_min_norm_step(self, monkeypatch):
+    def test_posv_failure_rejects_the_lu(self, monkeypatch):
         # potrf failing on the correction's normal equations rejects the LU at
-        # factor time and sends the step to the pivoted-QR handler, as an
-        # exact zero pivot does
+        # factor time, as an exact zero pivot does
         sys8 = make_system(example2(0.5), 8, 8)
-        v = 0.1 * np.ones(sys8.F.size)
-        G = residual(sys8, v)
-        expected = fbbmb.solver._min_norm_step(jacobian(sys8, v), G, [], 0)
         monkeypatch.setattr(fbbmb.solver, "_potrf", lambda a: (a, 1))
-        warns = []
-        step, factors = newton_step(sys8, v, G, warns, 0)
-        assert factors is None
-        assert np.array_equal(step, expected)
-        assert warns == []
+        v = 0.1 * np.ones(sys8.F.size)
+        step, factors = newton_step(sys8, v, residual(sys8, v))
+        assert step is None and factors is None
 
-    def test_exact_zero_pivot_takes_the_min_norm_step(self, sys_ex1, monkeypatch):
+    def test_exact_zero_pivot_rejects_the_lu(self, sys_ex1, monkeypatch):
         # a zero column leaves getrf an exact zero pivot (info = 4), which
         # rejects the LU
-        N = sys_ex1.F.size
-        v = 0.1 * np.ones(N)
-        G = residual(sys_ex1, v)
+        v = 0.1 * np.ones(sys_ex1.F.size)
         J = jacobian(sys_ex1, v)
         J[:, 3] = 0.0
         assert getrf(J)[2] == 4
         monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
-        warns = []
-        step, factors = newton_step(sys_ex1, v, G, warns, 2)
-        assert factors is None
-        np.testing.assert_allclose(step, -np.linalg.pinv(J) @ G, rtol=1e-10, atol=1e-12)
-        assert warns == [f"iteration 2: Jacobian rank {N - 1} < {N}"]
+        step, factors = newton_step(sys_ex1, v, residual(sys_ex1, v))
+        assert step is None and factors is None
 
 
 class TestInPlaceFactor:
@@ -186,30 +169,11 @@ class TestInPlaceFactor:
         monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
         tracemalloc.start()
         try:
-            newton_step(sys20, v, G, [], 0)
+            newton_step(sys20, v, G)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * J.nbytes
-
-    def test_min_norm_step_holds_one_jacobian(self, monkeypatch):
-        # on an exact zero pivot the rejected LU is dropped before J is built
-        # again, and gelsy factors that J in place rather than a copy of it
-        sys20 = make_system(example2(0.5), 20, 20)
-        v = np.zeros(sys20.F.size)
-        G = residual(sys20, v)
-        J = jacobian(sys20, v)
-        J[:, 3] = 0.0
-        monkeypatch.setattr(fbbmb.solver, "jacobian", lambda sys, v: np.array(J, order="F"))
-        warns = []
-        tracemalloc.start()
-        try:
-            _, factors = newton_step(sys20, v, G, warns, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert factors is None and len(warns) == 1
-        assert peak < 1.5 * J.nbytes
 
 
 class TestStopReasons:
@@ -246,8 +210,8 @@ class TestStopReasons:
         assert np.mean(np.abs(rep.u - exact.reshape(-1))) <= 1e-15
 
     def test_exhausted_line_search_rejects_trial_point(self, sys_ex2, monkeypatch):
-        def uphill(sys, v, G, warns, k):
-            step, factors = newton_step(sys, v, G, warns, k)
+        def uphill(sys, v, G):
+            step, factors = newton_step(sys, v, G)
             return -step, factors
 
         monkeypatch.setattr(fbbmb.solver, "newton_step", uphill)
@@ -258,8 +222,9 @@ class TestStopReasons:
         assert rep.iterations == 0
         np.testing.assert_array_equal(rep.v, v0)
 
-    # no shortened step is tried, so neither method finds a decrease
-    EXIT_THRESHOLDS = {"stagnation": {"MAX_TRIALS": 0}}
+    # no shortened step is tried, so neither method finds a decrease; getrf
+    # reporting a zero pivot rejects the first LU
+    EXIT_THRESHOLDS = {"stagnation": {"MAX_TRIALS": 0}, "singular": {"_getrf": zero_pivot_getrf}}
 
     @pytest.mark.parametrize(
         "cfg, reason, converged",
@@ -268,6 +233,8 @@ class TestStopReasons:
             (SolverConfig(), "floor", True),
             (SolverConfig(max_iters=1), "max_iters", False),
             (SolverConfig(), "stagnation", False),
+            (SolverConfig(), "singular", False),
+            (SolverConfig(method="trust_region"), "singular", False),
         ],
     )
     def test_every_exit_names_its_reason(self, sys_ex1, monkeypatch, cfg, reason, converged):
@@ -276,6 +243,9 @@ class TestStopReasons:
         rep = solve(sys_ex1, cfg)
         assert rep.stop_reason == reason
         assert rep.converged == converged
+        if reason == "singular":  # the rejected LU ends the solve at v0
+            assert rep.iterations == 0 and rep.factorizations == 1
+            np.testing.assert_array_equal(rep.v, np.zeros(sys_ex1.F.size))
 
 
 class TestDoglegRadius:
@@ -293,9 +263,9 @@ class TestDoglegRadius:
     def test_non_finite_first_step_starts_from_cauchy_radius(self, sys_ex2, monkeypatch):
         calls = []
 
-        def nan_first(sys, v, G, warns, k):
-            calls.append(k)
-            step, factors = newton_step(sys, v, G, warns, k)
+        def nan_first(sys, v, G):
+            calls.append(1)
+            step, factors = newton_step(sys, v, G)
             return (np.full_like(step, np.nan) if len(calls) == 1 else step), factors
 
         base = solve(sys_ex2, SolverConfig(method="trust_region"))
@@ -356,6 +326,7 @@ class TestRoundingLevelStop:
         of a cold solve that keeps the stop's contract."""
         sys_d = make_system(spec, n, n)
         rep, levels, factored = self.traced_solve(monkeypatch, sys_d, method)
+        assert rep.stop_reason != "singular"  # every LU is accepted
         # the last tested iterate is factored unless the stop fires there
         # (earlier ones may have taken a chord step), and the stop ends the loop
         fired = bool(levels) and factored[-1:] != [len(levels)]
@@ -364,7 +335,7 @@ class TestRoundingLevelStop:
         if fired:
             assert rep.stop_reason == "floor"
             v, G, level = levels[-1]
-            step, _ = newton_step(sys_d, v, G, [], 0)
+            step, _ = newton_step(sys_d, v, G)
             Jp = jvp(sys_d, v, step)
             assert 0.5 * float(Jp @ Jp) <= level  # the floor test passes at v
         return fired, len(levels), len(factored), rep
@@ -437,7 +408,7 @@ class TestRoundingLevelStop:
                 assert i == len(levels)
                 continue
             held = max(j for j in factored if j < i)  # the iterate the held LU is of
-            step, factors = newton_step(sys8, levels[held - 1][0], G, [], 0)
+            step, factors = newton_step(sys8, levels[held - 1][0], G)
             assert factors is not None
             G_new = residual(sys8, v + step)
             fell = 0.5 * float(G_new @ G_new) <= fbbmb.solver.CHORD_CONTRACTION * merit
@@ -507,6 +478,8 @@ class TestStressFixture:
 
     @pytest.mark.parametrize("method", ["newton", "trust_region"])
     def test_false_verdicts_and_right_answers(self, solved, method):
+        # every LU of the 100 solves is accepted
+        assert all(rep.stop_reason != "singular" for _, rep, *_ in solved[method])
         kept = [(i, r) for i, r in enumerate(solved[method]) if i not in self.SENSITIVE]
         assert [i for i, (_, rep, *_, right) in kept if rep.converged and not right] \
             == self.FALSE[method]
@@ -542,7 +515,7 @@ class TestStressFixture:
             if rep.stop_reason == "floor" and factored[-1] != len(levels):
                 v, G, level = levels[-1]
                 assert not merits_above[-1]
-                step, _ = newton_step(sys_d, v, G, [], 0)
+                step, _ = newton_step(sys_d, v, G)
                 Jp = jvp(sys_d, v, step)
                 assert 0.5 * float(Jp @ Jp) <= level
 
@@ -663,7 +636,6 @@ class TestReportContract:
     def test_wall_time_and_warning_types(self, sys_ex1):
         rep = solve(sys_ex1, SolverConfig())
         assert rep.wall_time >= 0.0
-        assert isinstance(rep.warnings, tuple)
 
     def test_iteration_cap_reports_nonconverged(self, sys_ex2):
         rep = solve(sys_ex2, SolverConfig(max_iters=1))
