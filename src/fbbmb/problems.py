@@ -2,7 +2,9 @@
 
     D_t^alpha u - u_xxt + u_x + u u_x = f,   (x, t) in (0,1)^2,
 
-with u(x,0) = phi, u(0,t) = psi1, u(1,t) = psi2.
+with u(x,0) = phi, u(0,t) = psi1, u(1,t) = psi2. Every exact solution is
+X(x) T(t) with T a sum of positive powers of t, so every problem is one
+`make_separable_problem(alpha, X, dX, ddX, powers)` call.
 """
 
 from __future__ import annotations
@@ -16,20 +18,28 @@ from .assembly import ProblemSpec
 
 
 def make_separable_problem(
-    alpha: float,
-    X: Callable,
-    dX: Callable,
-    ddX: Callable,
-    T: Callable,
-    dT: Callable,
-    caputo_T: Callable[[np.ndarray, float], np.ndarray],
+    alpha: float, X: Callable, dX: Callable, ddX: Callable, powers: dict[float, float]
 ) -> ProblemSpec:
-    """Manufactured problem for exact u(x,t) = X(x) T(t), with f obtained by
-    substituting u into the equation using the analytic Caputo of T."""
+    """Manufactured problem for exact u(x,t) = X(x) T(t), T(t) the sum of
+    c t^p over `powers` {p: c}, every p > 0. T', the Caputo derivative of T
+    (Gamma(p+1)/Gamma(p+1-alpha) t^(p-alpha) per term) and f, by substituting
+    u into the equation, are derived here."""
+    if not all(p > 0 for p in powers):
+        raise ValueError(f"every power of t must be positive, got {sorted(powers)}")
+
+    def T(t):
+        return sum(c * t**p for p, c in powers.items())
+
+    def dT(t):
+        return sum(c * p * t ** (p - 1.0) for p, c in powers.items())
+
+    def caputo_T(t):
+        return sum(c * gamma(p + 1.0) * t ** (p - alpha) / gamma(p + 1.0 - alpha)
+                   for p, c in powers.items())
 
     def f(x, t):
         return (
-            X(x) * caputo_T(t, alpha)
+            X(x) * caputo_T(t)
             - ddX(x) * dT(t)
             + dX(x) * T(t)
             + X(x) * dX(x) * T(t) ** 2
@@ -52,23 +62,13 @@ def example1(alpha: float) -> ProblemSpec:
         X=lambda x: x**4 * (x - 1.0),
         dX=lambda x: 5.0 * x**4 - 4.0 * x**3,
         ddX=lambda x: 20.0 * x**3 - 12.0 * x**2,
-        T=lambda t: t**1.5,
-        dT=lambda t: 1.5 * np.sqrt(t),
-        caputo_T=lambda t, a: gamma(2.5) * t ** (1.5 - a) / gamma(2.5 - a),
+        powers={1.5: 1.0},
     )
 
 
 def example2(alpha: float) -> ProblemSpec:
     """Exact solution u = t^2 e^x with psi1 = t^2, psi2 = e t^2."""
-    return make_separable_problem(
-        alpha,
-        X=np.exp,
-        dX=np.exp,
-        ddX=np.exp,
-        T=lambda t: t**2,
-        dT=lambda t: 2.0 * t,
-        caputo_T=lambda t, a: 2.0 * t ** (2.0 - a) / gamma(3.0 - a),
-    )
+    return make_separable_problem(alpha, X=np.exp, dX=np.exp, ddX=np.exp, powers={2.0: 1.0})
 
 
 def manufactured_poly(alpha: float) -> ProblemSpec:
@@ -78,9 +78,7 @@ def manufactured_poly(alpha: float) -> ProblemSpec:
         X=lambda x: x**2 * (1.0 - x),
         dX=lambda x: 2.0 * x - 3.0 * x**2,
         ddX=lambda x: 2.0 - 6.0 * x,
-        T=lambda t: t**2,
-        dT=lambda t: 2.0 * t,
-        caputo_T=lambda t, a: 2.0 * t ** (2.0 - a) / gamma(3.0 - a),
+        powers={2.0: 1.0},
     )
 
 
@@ -91,9 +89,7 @@ def manufactured_trig(alpha: float) -> ProblemSpec:
         X=lambda x: np.sin(pi * np.minimum(x, 1.0 - x)),
         dX=lambda x: pi * np.cos(pi * np.asarray(x, dtype=float)),
         ddX=lambda x: -(pi**2) * np.sin(pi * np.minimum(x, 1.0 - x)),
-        T=lambda t: t**3,
-        dT=lambda t: 3.0 * t**2,
-        caputo_T=lambda t, a: 6.0 * t ** (3.0 - a) / gamma(4.0 - a),
+        powers={3.0: 1.0},
     )
 
 

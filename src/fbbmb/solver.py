@@ -274,7 +274,8 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
         level = _rounding_level(v, G, scale)
         at_level = finite and merit <= level
         if not at_level and factors is not None:
-            # chord step: the held LU's step, kept if it cuts the merit 100-fold
+            # chord step: the held LU's step, kept if it cuts the merit about
+            # 333-fold (||G||_2 at least 18-fold)
             v_new = v + _lu_step(factors, G)
             G_new = residual(sys, v_new)
             merit_new = _merit(G_new)

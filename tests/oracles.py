@@ -1,6 +1,6 @@
 """Independent brute-force references used by the test suite: adaptive quadrature
 of the fractional kernel, analytic power rules, finite differences, and the
-hand-derived source terms of the two paper examples."""
+hand-derived source terms of the registered problems."""
 
 from __future__ import annotations
 
@@ -108,3 +108,17 @@ def example2_source(x, t, alpha: float):
     ex = np.exp(x)
     return (2.0 * ex * t ** (2.0 - alpha) / math.gamma(3.0 - alpha)
             + t**4 * ex**2 + t**2 * ex - 2.0 * t * ex)
+
+
+def poly_source(x, t, alpha: float):
+    """f for u = x^2 (1 - x) t^2, expanded by hand; u u_x = (2x^3 - 5x^4 + 3x^5) t^4."""
+    return (2.0 * (x**2 - x**3) * t ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+            - (4.0 - 12.0 * x) * t + (2.0 * x - 3.0 * x**2) * t**2
+            + (2.0 * x**3 - 5.0 * x**4 + 3.0 * x**5) * t**4)
+
+
+def trig_source(x, t, alpha: float):
+    """f for u = sin(pi x) t^3, expanded by hand; u u_x = (pi / 2) sin(2 pi x) t^6."""
+    s = np.sin(np.pi * x)
+    return (6.0 * s * t ** (3.0 - alpha) / math.gamma(4.0 - alpha) + 3.0 * np.pi**2 * s * t**2
+            + np.pi * np.cos(np.pi * x) * t**3 + 0.5 * np.pi * np.sin(2.0 * np.pi * x) * t**6)

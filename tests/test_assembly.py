@@ -19,8 +19,8 @@ from fbbmb.assembly import (
 )
 from fbbmb.basis import build_node_set
 from fbbmb.opmatrices import build_operator_bundle
-from fbbmb.problems import REGISTRY, example1, example2, manufactured_poly
-from oracles import example1_source, example2_source
+from fbbmb.problems import REGISTRY, example1, example2, make_separable_problem, manufactured_poly
+from oracles import caputo_power_rule, example1_source, example2_source, poly_source, trig_source
 
 
 def make_system(spec, n, m, **bundle_kwargs):
@@ -124,13 +124,18 @@ class TestProblemSpec:
                 spec()
 
 
-# hand-derived forms of the paper examples, the references for the separable
-# factory: (f, phi, psi1, psi2, exact)
+# hand-derived forms of the registered problems, the references for the
+# separable factory: (f, phi, psi1, psi2, exact). The trig problem's exact
+# solution takes sin(pi x) of min(x, 1 - x), so that it vanishes at both ends
 HAND_DERIVED = {
     "example1": (example1_source, lambda x: 0.0, lambda t: 0.0, lambda t: 0.0,
                  lambda x, t: x**4 * (x - 1.0) * t**1.5),
     "example2": (example2_source, lambda x: 0.0, lambda t: t**2, lambda t: np.e * t**2,
                  lambda x, t: t**2 * np.exp(x)),
+    "manufactured:poly": (poly_source, lambda x: 0.0, lambda t: 0.0, lambda t: 0.0,
+                          lambda x, t: x**2 * (1.0 - x) * t**2),
+    "manufactured:trig": (trig_source, lambda x: 0.0, lambda t: 0.0, lambda t: 0.0,
+                          lambda x, t: np.sin(np.pi * np.minimum(x, 1.0 - x)) * t**3),
 }
 
 
@@ -148,6 +153,25 @@ class TestRegisteredProblems:
         # traces broadcast over the nodes as `assemble` does
         for got, want in ((spec.phi, phi), (spec.psi1, psi1), (spec.psi2, psi2)):
             np.testing.assert_array_equal(np.full(s.size, got(s)), np.full(s.size, want(s)))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_separable_factory_sums_its_powers(self, alpha):
+        # u = e^x (t + 2 t^2.5): T', D^alpha T and so f are summed term by term
+        spec = make_separable_problem(alpha, np.exp, np.exp, np.exp, {1.0: 1.0, 2.5: 2.0})
+        s = np.linspace(0.0, 1.0, 41)
+        x, t = s[:, None], s[None, :]
+        T, dT = t + 2.0 * t**2.5, 1.0 + 5.0 * t**1.5
+        caputo = caputo_power_rule(1.0, alpha, t) + 2.0 * caputo_power_rule(2.5, alpha, t)
+        ex = np.exp(x)
+        ref = ex * caputo - ex * dT + ex * T + ex * ex * T**2
+        assert np.max(np.abs(spec.f(x, t) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_allclose(spec.exact(x, t), ex * T, rtol=1e-15)
+
+    @pytest.mark.parametrize("powers", [{0.0: 1.0}, {-0.5: 1.0}, {2.0: 1.0, 0.0: 3.0}, {np.nan: 1.0}],
+                             ids=["zero", "negative", "constant_term", "nan"])
+    def test_separable_factory_rejects_nonpositive_powers(self, powers):
+        with pytest.raises(ValueError, match="positive"):
+            make_separable_problem(0.5, np.exp, np.exp, np.exp, powers)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.75, 1.0])
     def test_trig_boundary_traces_vanish_exactly(self, alpha):

@@ -538,6 +538,18 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
+    def test_import_graph(self):
+        # the package module re-exports nothing, so the numpy-only modules load
+        # no scipy; only the solver's LAPACK calls bring in scipy.linalg
+        proc = run_fresh_process(
+            "import sys\n"
+            "import fbbmb.basis, fbbmb.opmatrices, fbbmb.assembly, fbbmb.problems\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "import fbbmb.cli\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True False"], proc.stdout
+
     def test_lambda_star_warning_printed_once(self):
         # RunConfig and the node sets of every cascade level check lam; a fresh
         # process sweeping two cascading rows near LAMBDA_STAR warns in one line
