@@ -48,6 +48,22 @@ CSV_COLUMNS = [
 ]
 
 
+def error_mesh_points(error_mesh: str) -> Optional[tuple]:
+    """(xs, ts) of an error mesh: 101 uniform x at 101 uniform t ("uniform101")
+    or at the one t of "slice=<t>"; None for "collocation", the grid's nodes."""
+    if error_mesh == "collocation":
+        return None
+    xs = np.linspace(0.0, 1.0, 101)
+    if error_mesh == "uniform101":
+        return xs, xs
+    if not error_mesh.startswith("slice="):
+        raise ValueError(f"unknown error mesh {error_mesh!r}")
+    ts = float(error_mesh[6:])
+    if not 0.0 <= ts <= 1.0:
+        raise ValueError(f"slice time {ts} outside [0, 1]")
+    return xs, np.array([ts])
+
+
 @dataclass(frozen=True)
 class RunConfig:
     problem: str = "example1"
@@ -68,12 +84,7 @@ class RunConfig:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
         check_lambda(self.lam)
-        if self.error_mesh not in ("collocation", "uniform101") and not self.error_mesh.startswith("slice="):
-            raise ValueError(f"unknown error mesh {self.error_mesh!r}")
-        if self.error_mesh.startswith("slice="):
-            ts = float(self.error_mesh[6:])
-            if not 0.0 <= ts <= 1.0:
-                raise ValueError(f"slice time {ts} outside [0, 1]")
+        error_mesh_points(self.error_mesh)
         for name, kind in (("alpha", float), ("n", int), ("m", int), ("lam", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
 
@@ -86,9 +97,12 @@ class RunResult:
     et_seconds: float
     precompute_seconds: float
     iterations: int
-    converged: bool
     stop_reason: str  # the fine solve's SolveReport.stop_reason
     mesh: Optional[tuple] = field(default=None, repr=False)  # (xs, ts, U, E) off the nodes
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "floor"
 
     @cached_property
     def grid(self) -> Optional[np.ndarray]:
@@ -102,7 +116,8 @@ class RunResult:
 
     def row(self) -> dict:
         """The CSV_COLUMNS of the config (`lambda` is its `lam`) and of this result."""
-        values = {**vars(self.config), "lambda": self.config.lam, **vars(self)}
+        values = {**vars(self.config), "lambda": self.config.lam, **vars(self),
+                  "converged": self.converged}
         return {k: values[k] for k in CSV_COLUMNS}
 
 
@@ -144,24 +159,21 @@ def run(cfg: RunConfig) -> RunResult:
     `iterations` counts the fine grid's Gauss-Newton steps. `precompute_seconds`
     is the fine grid's set-up (node sets, operators, assembly); `et_seconds` is
     the rest of the solve: the coarse levels' set-up and solves, the
-    interpolations, and the fine solve. The error mesh is the grid's nodes
-    ("collocation") or 101 uniform x at 101 uniform t ("uniform101") or at one t."""
+    interpolations, and the fine solve. The errors are measured on `error_mesh_points`."""
     spec = REGISTRY[cfg.problem](cfg.alpha)
     t0 = time.perf_counter()
     sys_d, report, precompute_seconds = _nested_solve(spec, cfg)
     et_seconds = time.perf_counter() - t0 - precompute_seconds
 
-    xs, ts = sys_d.ns_x.nodes, sys_d.ns_t.nodes
-    if cfg.error_mesh != "collocation":
-        xs = np.linspace(0.0, 1.0, 101)
-        ts = xs if cfg.error_mesh == "uniform101" else np.array([float(cfg.error_mesh[6:])])
+    points = error_mesh_points(cfg.error_mesh)
+    xs, ts = (sys_d.ns_x.nodes, sys_d.ns_t.nodes) if points is None else points
     U = evaluate_on_mesh(report.u, sys_d.ns_x, sys_d.ns_t, xs, ts)
     E = spec.exact(xs[:, None], ts[None, :]) * np.ones((xs.size, ts.size))
     aae = compute_aae(U, E)
     max_err = float(np.max(np.abs(U - E)))
-    mesh = None if cfg.error_mesh == "collocation" else (xs, ts, U, E)
+    mesh = None if points is None else (xs, ts, U, E)
     return RunResult(cfg, aae, max_err, et_seconds, precompute_seconds,
-                     report.iterations, report.converged, report.stop_reason, mesh)
+                     report.iterations, report.stop_reason, mesh)
 
 
 def sweep(template: RunConfig, alphas: list[float] | None = None,
@@ -185,14 +197,10 @@ def sweep(template: RunConfig, alphas: list[float] | None = None,
 
 def format_table(results: list[RunResult]) -> str:
     header = f"{'problem':<18}{'alpha':>7}{'n':>4}{'m':>4}{'aae':>13}{'max_err':>13}{'et[s]':>9}{'iters':>7}{'conv':>6}"
-    lines = [header]
-    for r in results:
-        lines.append(
-            f"{r.config.problem:<18}{r.config.alpha:>7.3g}{r.config.n:>4}{r.config.m:>4}"
+    rows = [f"{r.config.problem:<18}{r.config.alpha:>7.3g}{r.config.n:>4}{r.config.m:>4}"
             f"{r.aae:>13.4e}{r.max_err:>13.4e}{r.et_seconds:>9.3f}{r.iterations:>7}"
-            f"{str(r.converged):>6}"
-        )
-    return "\n".join(lines)
+            f"{str(r.converged):>6}" for r in results]
+    return "\n".join([header, *rows]) + "\n"
 
 
 def format_csv(results: list[RunResult]) -> str:
@@ -205,20 +213,13 @@ def format_csv(results: list[RunResult]) -> str:
 
 
 def format_json(results: list[RunResult]) -> str:
-    docs = []
-    for r in results:
-        doc = r.row()
-        if r.grid is not None:
-            doc["grid"] = r.grid.tolist()
-        docs.append(doc)
-    return json.dumps(docs, indent=2)
+    docs = [r.row() if r.grid is None else {**r.row(), "grid": r.grid.tolist()} for r in results]
+    return json.dumps(docs, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="fbbmb",
-        description="Spectral solver for the time-fractional BBM-Burgers equation",
-    )
+        prog="fbbmb", description="Spectral solver for the time-fractional BBM-Burgers equation")
     run_d, solver_d = RunConfig(), SolverConfig()
     p.add_argument("--problem", default=run_d.problem, choices=sorted(REGISTRY))
     p.add_argument("--alpha", type=float, default=run_d.alpha)
@@ -238,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID_CONFIG if exc.code not in (0, None) else 0
     try:
@@ -269,13 +269,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"warning: {_run_name(r.config)} did not converge: {r.stop_reason}",
                   file=sys.stderr)
 
-    fmt = {"table": format_table, "csv": format_csv, "json": format_json}[args.fmt]
-    text = fmt(results)
+    text = {"table": format_table, "csv": format_csv, "json": format_json}[args.fmt](results)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
     return EXIT_NO_CONVERGENCE if failures or not all(r.converged for r in results) else EXIT_OK
 

@@ -131,6 +131,19 @@ class TestRunConfigValidation:
         with pytest.raises((ValueError,)):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("mesh, message", [
+        ("random", "unknown error mesh 'random'"),
+        ("slice=1.5", "slice time 1.5 outside [0, 1]"),
+    ])
+    def test_error_mesh_messages(self, mesh, message):
+        # RunConfig and run read the mesh through the one parser, error_mesh_points
+        with pytest.raises(ValueError) as exc:
+            RunConfig(error_mesh=mesh)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            cli.error_mesh_points(mesh)
+        assert str(exc.value) == message
+
 
 class TestRun:
     def test_example2_accuracy_at_size7(self):
@@ -139,6 +152,12 @@ class TestRun:
         assert res.aae < 1e-6
         assert res.max_err >= res.aae
         assert res.precompute_seconds >= 0.0
+
+    @pytest.mark.parametrize("reason", ["floor", "stagnation", "max_iters", "singular"])
+    def test_converged_is_the_floor_verdict(self, reason):
+        # derived from the stop reason, as SolveReport.converged is
+        res = RunResult(RunConfig(), 0.0, 0.0, 0.0, 0.0, 1, reason)
+        assert res.converged == (reason == "floor") == res.row()["converged"]
 
     def test_slice_mesh_populates_grid(self):
         res = run(RunConfig(problem="example2", alpha=0.5, n=6, m=6, error_mesh="slice=1.0"))
@@ -469,6 +488,16 @@ class TestMain:
         assert calls == []
         assert path.read_text() == "kept"
 
+    def test_every_format_ends_in_one_newline(self, tmp_path, capsys):
+        # on stdout and in the --out file alike, with no blank line after the last row
+        for fmt in ("table", "csv", "json"):
+            path = tmp_path / f"out.{fmt}"
+            args = ["--problem", "example2", "--n", "4", "--m", "4", "--format", fmt]
+            assert main(args) == EXIT_OK
+            assert main([*args, "--out", str(path)]) == EXIT_OK
+            for text in (capsys.readouterr().out, path.read_text()):
+                assert text.endswith("\n") and not text.endswith("\n\n"), (fmt, text[-40:])
+
     def test_sweep_alpha_keeps_the_n_by_m_grid(self, capsys):
         code = main(["--problem", "example2", "--n", "8", "--m", "4",
                      "--sweep-alpha", "0.3,0.5", "--format", "csv"])
@@ -506,7 +535,7 @@ class TestMain:
 
         def recording(cfg):
             calls.append(cfg)
-            return RunResult(cfg, 0.0, 0.0, 0.0, 0.0, 1, True, "floor")
+            return RunResult(cfg, 0.0, 0.0, 0.0, 0.0, 1, "floor")
 
         monkeypatch.setattr("fbbmb.cli.run", recording)
         assert main([]) == EXIT_OK

@@ -1,4 +1,4 @@
-"""Every imported name in the package, tests, scripts and benchmark is used.
+"""Every imported name in the package, tests and benchmark is used.
 
 The scan is a plain AST walk, so it needs no linter: a name bound by an import
 counts as used when the module reads it anywhere or lists it in `__all__`.
@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("src", "tests", "scripts", "bench")
+SCANNED = ("src", "tests", "bench")
 
 
 def unused_imports(source: str) -> list[str]:
