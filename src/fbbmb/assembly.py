@@ -25,10 +25,6 @@ from .basis import NodeSet, cardinal_matrix
 from .opmatrices import OperatorBundle
 
 
-class AssemblyError(ValueError):
-    """Raised when the operator bundle and the problem disagree on alpha."""
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """One initial-boundary value problem: fractional order, initial profile phi,
@@ -69,8 +65,8 @@ class DiscreteSystem(OperatorBundle):
 def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     """The collocation system of the problem on the bundle's (n+1) x (m+1) grid."""
     n, m = ops.ns_x.n, ops.ns_t.n
-    if abs(ops.alpha - spec.alpha) > 0:
-        raise AssemblyError(f"bundle alpha={ops.alpha} != problem alpha={spec.alpha}")
+    if ops.alpha != spec.alpha:
+        raise ValueError(f"bundle alpha={ops.alpha} != problem alpha={spec.alpha}")
     x, t = ops.ns_x.nodes, ops.ns_t.nodes
     phi_x = np.full(n + 1, spec.phi(x), dtype=float)
     psi1_t = np.full(m + 1, spec.psi1(t), dtype=float)

@@ -9,7 +9,6 @@ memoised `NodeSet`, whose arrays are read-only."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache
 from math import gamma
@@ -18,26 +17,13 @@ import numpy as np
 
 LAMBDA_MIN = -0.5 + 1e-3
 LAMBDA_MAX = 2.0
-# Gegenbauer index near which interpolation error is known to amplify.
-LAMBDA_STAR = -0.1351
-LAMBDA_STAR_HALO = 0.05
-
-
-class ParameterDomainError(ValueError):
-    """Raised for Gegenbauer/fractional parameters outside their valid windows."""
 
 
 def check_lambda(lam: float) -> None:
-    """Reject a Gegenbauer index outside (LAMBDA_MIN, LAMBDA_MAX]; warn near LAMBDA_STAR."""
+    """Reject a Gegenbauer index outside (LAMBDA_MIN, LAMBDA_MAX]."""
     if not (LAMBDA_MIN < lam <= LAMBDA_MAX):
-        raise ParameterDomainError(
+        raise ValueError(
             f"lambda={lam} outside the valid window ({LAMBDA_MIN}, {LAMBDA_MAX}]"
-        )
-    if abs(lam - LAMBDA_STAR) < LAMBDA_STAR_HALO:
-        # located here for every caller, so the default filter shows it once per lam
-        warnings.warn(
-            f"lambda={lam} lies within {LAMBDA_STAR_HALO} of the "
-            f"error-amplifying index {LAMBDA_STAR}; accuracy may degrade"
         )
 
 
@@ -115,9 +101,9 @@ def build_node_set(lam: float, n: int) -> NodeSet:
     Repeated calls with equal (lam, n) return the same read-only NodeSet."""
     check_lambda(lam)
     if not float(n).is_integer():
-        raise ParameterDomainError(f"grid degree n={n} must be an integer")
+        raise ValueError(f"grid degree n={n} must be an integer")
     if n < 0:
-        raise ParameterDomainError(f"grid degree n={n} must be nonnegative")
+        raise ValueError(f"grid degree n={n} must be nonnegative")
     return _node_set(float(lam), int(n))
 
 

@@ -22,11 +22,7 @@ from math import gamma
 
 import numpy as np
 
-from .basis import NodeSet, ParameterDomainError, cardinal_matrix, gauss_jacobi
-
-
-class DegenerateGridError(ValueError):
-    """Raised when a grid is too small for the requested operator."""
+from .basis import NodeSet, cardinal_matrix, gauss_jacobi
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -39,7 +35,7 @@ def build_sgdm(ns: NodeSet) -> np.ndarray:
     """First-order differentiation matrix from barycentric weights, with the
     negative-sum trick on the diagonal."""
     if ns.n < 1:
-        raise DegenerateGridError("differentiation needs at least two nodes")
+        raise ValueError("differentiation needs at least two nodes")
     x, w = ns.nodes, ns.bary_weights
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
@@ -92,7 +88,7 @@ def build_rl_fsgim(ns_t: NodeSet, beta: float) -> np.ndarray:
     """Riemann-Liouville fractional integration matrix of order beta in (0, 1]:
     row j applies (I^beta g)(t_j) to nodal data."""
     if not 0.0 < beta <= 1.0:
-        raise ParameterDomainError(f"fractional order beta={beta} outside (0, 1]")
+        raise ValueError(f"fractional order beta={beta} outside (0, 1]")
     return _rl_rows(ns_t, beta, ns_t.nodes)
 
 
@@ -116,7 +112,7 @@ def build_operator_bundle(ns_x: NodeSet, ns_t: NodeSet, alpha: float) -> Operato
     order-(1-alpha) RL integration of the first derivative, rl_frac @ D_t;
     alpha = 1 gives the plain differentiation matrix."""
     if not 0.0 < alpha <= 1.0:
-        raise ParameterDomainError(f"fractional order alpha={alpha} outside (0, 1]")
+        raise ValueError(f"fractional order alpha={alpha} outside (0, 1]")
     D_t = build_sgdm(ns_t)
     if alpha == 1.0:
         rl, caputo = np.eye(ns_t.n + 1), D_t

@@ -1,11 +1,11 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fbbmb.assembly import (
-    AssemblyError,
     ProblemSpec,
     assemble,
     compute_aae,
@@ -253,7 +253,7 @@ class TestAssemble:
         spec = example1(0.5)
         ns = build_node_set(0.5, 3)
         ops = build_operator_bundle(ns, ns, 0.6)
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError, match=re.escape("bundle alpha=0.6 != problem alpha=0.5")):
             assemble(spec, ops)
 
 

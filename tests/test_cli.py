@@ -579,16 +579,6 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True False"], proc.stdout
 
-    def test_lambda_star_warning_printed_once(self):
-        # RunConfig and the node sets of every cascade level check lam; a fresh
-        # process sweeping two cascading rows near LAMBDA_STAR warns in one line
-        proc = run_fresh_process(
-            "import fbbmb.cli\n"
-            "raise SystemExit(fbbmb.cli.main(['--problem', 'example2', '--lambda', '-0.14', '--n', '16',"
-            " '--m', '16', '--sweep-alpha', '0.5,0.9', '--format', 'csv']))")
-        assert proc.returncode == 0, proc.stderr
-        assert sum("error-amplifying" in line for line in proc.stderr.splitlines()) == 1, proc.stderr
-
     def test_removed_tol_flag_rejected(self, capsys):
         # convergence is the scale-free rounding floor, with no threshold to set
         assert main(["--problem", "example2", "--n", "4", "--m", "4", "--tol", "1e-8"]) \

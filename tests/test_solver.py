@@ -76,15 +76,6 @@ class TestSolverConfig:
 
 
 class TestLeastSquaresStep:
-    def test_matches_svd_least_squares(self):
-        sys8 = make_system(example2(0.5), 8, 8)
-        v = np.zeros(sys8.F.size)
-        G = residual(sys8, v)
-        step, factors = newton_step(sys8, v, G)
-        oracle, *_ = np.linalg.lstsq(jacobian(sys8, v), -G, rcond=None)
-        assert factors is not None
-        assert np.linalg.norm(step - oracle) <= 1e-8 * np.linalg.norm(oracle)
-
     def test_small_rcond_u_keeps_the_lu_step(self, monkeypatch):
         # example1 at n = m = 64, lambda = -0.49 has rcond(U) of about
         # 0.7 eps * rows, yet J has full rank and the LU's step is the
@@ -272,6 +263,38 @@ class TestDoglegRadius:
         rep = solve(sys_ex2, SolverConfig(method="trust_region"))
         assert rep.converged
         np.testing.assert_allclose(rep.v, base.v, atol=1e-12)
+
+
+class TestDoglegStep:
+    # _dogleg_step's three branches on hand-made vectors in the plane; with
+    # g = (1, 0) and J g = (2, 0) the Cauchy step is -(|g|^2 / |J g|^2) g = (-1/4, 0)
+    g, Jg = np.array([1.0, 0.0]), np.array([2.0, 0.0])
+    cauchy = np.array([-0.25, 0.0])
+
+    def test_newton_step_inside_the_radius_is_kept(self):
+        newton = np.array([0.3, 0.4])
+        step, hit = fbbmb.solver._dogleg_step(newton, self.g, self.Jg, 1.0)
+        assert step is newton and not hit
+
+    @pytest.mark.parametrize("newton, Jg", [
+        (None, np.array([2.0, 0.0])),  # no Gauss-Newton step
+        (np.array([0.0, 3.0]), np.array([0.1, 0.0])),  # Cauchy step of length 100
+    ])
+    def test_steepest_descent_to_the_boundary(self, newton, Jg):
+        radius = 0.2
+        step, hit = fbbmb.solver._dogleg_step(newton, self.g, Jg, radius)
+        np.testing.assert_array_equal(step, -(radius / np.linalg.norm(self.g)) * self.g)
+        assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-15) and hit
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 2.9])
+    def test_blend_reaches_the_boundary_on_the_dogleg_segment(self, radius):
+        newton = np.array([0.0, 3.0])
+        step, hit = fbbmb.solver._dogleg_step(newton, self.g, self.Jg, radius)
+        assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-12) and hit
+        d = newton - self.cauchy
+        s = (step - self.cauchy) @ d / (d @ d)
+        assert 0.0 < s < 1.0
+        np.testing.assert_allclose(step, self.cauchy + s * d, rtol=0, atol=1e-15)
 
 
 class TestRoundingLevelStop:
