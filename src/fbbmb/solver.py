@@ -63,6 +63,16 @@ condition estimate gates the LU: where rcond(U) < eps * rows (example1 at
 n = m = 64, lambda = -0.49), its step is still the least-squares step to
 roundoff. `_lu_step` only solves: laswp, potrs and two triangular solves.
 
+The five LAPACK routines are the double-precision f2py wrappers of scipy's
+compiled module scipy/linalg/_flapack, the ones scipy.linalg.get_lapack_funcs
+returns. `_load_flapack` loads that module from its file after `import scipy`
+(whose init still runs, setting up scipy's shared libraries) and leaves it out
+of sys.modules, so no run executes scipy.linalg's package init: in scipy 1.17
+that runs `from numpy import *` in its vendored array_api_compat, which loads
+numpy.f2py, numpy.ma, numpy.random, numpy.testing and unittest. Skipping it
+takes `import fbbmb.cli` from 0.41 s to 0.16 s and the peak RSS of a default
+CLI run from 58 MB to 35 MB (Python 3.11, 2-core x86-64, 1 BLAS thread).
+
 Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the computed
@@ -83,11 +93,15 @@ not, since ||J|| grows like n^2.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .assembly import DiscreteSystem, jacobian, jvp, reconstruct, residual, rounding_scale, vjp
 
@@ -96,8 +110,25 @@ MAX_TRIALS = 30  # shortened steps the line search or the dogleg tries per itera
 CHORD_CONTRACTION = 0.003  # a held LU's step is kept if the merit falls at least this much
 ETA_ACCEPT = 0.1  # the dogleg accepts a step that achieves this share of its predicted decrease
 
-_getrf, _trtrs, _laswp, _potrf, _potrs = get_lapack_funcs(
-    ("getrf", "trtrs", "laswp", "potrf", "potrs"), dtype=float)
+
+def _load_flapack():
+    """scipy's f2py LAPACK module `scipy/linalg/_flapack`, loaded from its file
+    without running `scipy.linalg`'s package init and left out of
+    `sys.modules` (see the module docstring)."""
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec("_flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
+    module = module_from_spec(spec)
+    if sys.modules.get(spec.name) is module:  # a single-phase extension enters itself
+        del sys.modules[spec.name]
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+_getrf, _trtrs, _laswp, _potrf, _potrs = (
+    _flapack.dgetrf, _flapack.dtrtrs, _flapack.dlaswp, _flapack.dpotrf, _flapack.dpotrs)
 
 
 @dataclass(frozen=True)

@@ -557,27 +557,39 @@ class TestMain:
         # one line per non-converged row says which run failed and why
         assert err == f"warning: example2 alpha=0.5 n=5 m=5 did not converge: {reason}\n"
 
-    def test_run_loads_no_scipy_special(self):
-        # both Gauss rules (node sets and the RL quadrature) are built with numpy
-        # alone, so a fresh process that solves a case never imports scipy.special
-        proc = run_fresh_process(
-            "import sys, fbbmb.cli\n"
-            "assert fbbmb.cli.main(['--problem', 'example2', '--n', '5', '--m', '5']) == 0\n"
-            "print([m for m in sys.modules if m == 'scipy.special' or m.startswith('scipy.special.')])")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
-
     def test_import_graph(self):
         # the package module re-exports nothing, so the numpy-only modules load
-        # no scipy; only the solver's LAPACK calls bring in scipy.linalg
+        # no scipy. Both Gauss rules are built with numpy, and the solver loads
+        # scipy's LAPACK module from its file, so a fresh process that solves a
+        # case never runs scipy.linalg's package init (which imports numpy.f2py)
+        # or imports scipy.special, and enters no _flapack in sys.modules
         proc = run_fresh_process(
             "import sys\n"
             "import fbbmb.basis, fbbmb.opmatrices, fbbmb.assembly, fbbmb.problems\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "import fbbmb.cli\n"
-            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)")
+            "assert fbbmb.cli.main(['--problem', 'example2', '--n', '5', '--m', '5']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.linalg', 'scipy.special', 'numpy.f2py', '_flapack'))))")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "True False"], proc.stdout
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]"), proc.stdout
+
+    def test_missing_lapack_module_says_where_it_looked(self):
+        # a scipy without linalg/_flapack fails fbbmb.solver's import with an
+        # ImportError that names the directory searched
+        proc = run_fresh_process(
+            "import os, tempfile, scipy\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    scipy.__path__ = [d]\n"
+            "    try:\n"
+            "        import fbbmb.solver\n"
+            "    except ImportError as e:\n"
+            "        print(os.path.join(d, 'linalg'))\n"
+            "        print(e)")
+        assert proc.returncode == 0, proc.stderr
+        where, message = proc.stdout.splitlines()
+        assert message == f"scipy's LAPACK module _flapack not found in {where}"
 
     def test_removed_tol_flag_rejected(self, capsys):
         # convergence is the scale-free rounding floor, with no threshold to set

@@ -16,7 +16,9 @@ from fbbmb.opmatrices import build_operator_bundle
 from fbbmb.problems import REGISTRY, example1, example2, make_separable_problem
 from fbbmb.solver import SolverConfig, newton_step, solve
 
-getrf, trtrs = get_lapack_funcs(("getrf", "trtrs"), dtype=float)
+# the routines the solver calls, so the in-place contracts below are checked
+# on them
+getrf, trtrs = fbbmb.solver._getrf, fbbmb.solver._trtrs
 
 
 def zero_pivot_getrf(a, overwrite_a):
@@ -133,6 +135,27 @@ class TestRectangularLuStep:
         assert step is None and factors is None
 
 
+class TestLapackRoutines:
+    def test_bit_equal_to_get_lapack_funcs(self, monkeypatch):
+        # the solver loads its routines from scipy's _flapack file; they give
+        # the same bits as the wrappers scipy.linalg.get_lapack_funcs returns
+        sys8 = make_system(example1(0.5), 8, 8)
+        v = 0.1 * np.ones(sys8.F.size)
+        G, G_next = residual(sys8, v), residual(sys8, 0.5 * v)
+
+        def step_factors_and_chord_step():
+            step, factors = newton_step(sys8, v, G)
+            return [step, *factors, fbbmb.solver._lu_step(factors, G_next)]
+
+        loaded = step_factors_and_chord_step()
+        names = ("getrf", "trtrs", "laswp", "potrf", "potrs")
+        for name, func in zip(names, get_lapack_funcs(names, dtype=float)):
+            monkeypatch.setattr(fbbmb.solver, "_" + name, func)
+        reference = step_factors_and_chord_step()
+        assert len(loaded) == len(reference) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(loaded, reference))
+
+
 class TestInPlaceFactor:
     # newton_step reads U and L1 from the top N rows of the (N+m+1) x N LU
     # buffer, with leading dimension N+m+1, instead of from a copy of that block
@@ -147,6 +170,13 @@ class TestInPlaceFactor:
         Bt_in_place, _ = trtrs(lu, lu[N:].T, lower=1, trans=1, unitdiag=1)
         Bt_copied, _ = trtrs(top, lu[N:].T, lower=1, trans=1, unitdiag=1)
         assert np.array_equal(Bt_in_place, Bt_copied)
+
+    def test_getrf_factors_in_place(self):
+        # overwrite_a=1 on a Fortran-ordered float array writes the LU into
+        # that array's buffer, as newton_step does with the Jacobian
+        a = np.asfortranarray(np.random.default_rng(0).standard_normal((24, 16)))
+        lu, _, info = getrf(a, overwrite_a=1)
+        assert info == 0 and np.shares_memory(lu, a)
 
     def test_step_holds_no_second_jacobian_sized_array(self, monkeypatch):
         # the step's Jacobian is a fresh copy of a prebuilt one, allocated
