@@ -4,9 +4,11 @@ Grid ordering is space-major throughout: a nodal field g(x_i, t_j) is vectorized
 as vec[i*(m+1) + j], so every Kronecker product reads A_space (x) B_time and
 (A (x) B) vec(g) == vec(A @ G @ B.T) for the (n+1) x (m+1) matrix G.
 
-A `DiscreteSystem` is the `OperatorBundle` it was assembled from, extended by
-the problem's data in the shapes they are used in: nothing it holds is larger
-than a grid, and only this module reads its matrices. The linear part Psi =
+A `DiscreteSystem` is the alpha-free `OperatorBundle` it was assembled from,
+extended by the problem's order-(1-alpha) RL matrix `rl_frac` (the identity at
+alpha = 1) and data in the shapes they are used in: nothing it holds is larger
+than a grid, and only this module reads its matrices. F holds the Caputo
+derivative of psi1, formed as (rl_frac @ D_t) @ psi1. The linear part Psi =
 Q_x (x) rl_frac - D_x (x) I, the nonlinear-term operators K_tn = I (x) Q_t and
 Q_tx = Q_x (x) Q_t, and the constraint C = P_x (x) Q_t are applied as matrix
 sandwiches at O(N (n+m)) each, N = (n+1)(m+1); so are the Jacobian products
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import NodeSet, cardinal_matrix
-from .opmatrices import OperatorBundle
+from .opmatrices import OperatorBundle, build_rl_fsgim
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,10 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class DiscreteSystem(OperatorBundle):
     """Assembled collocation system: the operator bundle it was assembled from,
-    the data grids S and F, phi' on the space nodes, and Rhat of C v = Rhat."""
+    the RL matrix of order 1 - alpha, the data grids S and F, phi' on the space
+    nodes, and Rhat of C v = Rhat."""
 
+    rl_frac: np.ndarray
     S: np.ndarray
     phi_prime: np.ndarray
     F: np.ndarray
@@ -65,8 +69,7 @@ class DiscreteSystem(OperatorBundle):
 def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     """The collocation system of the problem on the bundle's (n+1) x (m+1) grid."""
     n, m = ops.ns_x.n, ops.ns_t.n
-    if ops.alpha != spec.alpha:
-        raise ValueError(f"bundle alpha={ops.alpha} != problem alpha={spec.alpha}")
+    rl_frac = np.eye(m + 1) if spec.alpha == 1.0 else build_rl_fsgim(ops.ns_t, 1.0 - spec.alpha)
     x, t = ops.ns_x.nodes, ops.ns_t.nodes
     phi_x = np.full(n + 1, spec.phi(x), dtype=float)
     psi1_t = np.full(m + 1, spec.psi1(t), dtype=float)
@@ -75,9 +78,10 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     phi0, phi1 = spec.phi(0.0), spec.phi(1.0)
 
     S = (phi_x - phi0)[:, None] + psi1_t[None, :]
-    F = f_grid - (ops.caputo @ psi1_t)[None, :]
+    F = f_grid - ((rl_frac @ ops.D_t) @ psi1_t)[None, :]
     Rhat = psi2_t - psi1_t - (phi1 - phi0)
-    return DiscreteSystem(**vars(ops), S=S, phi_prime=ops.D_x @ phi_x, F=F, Rhat=Rhat)
+    return DiscreteSystem(**vars(ops), rl_frac=rl_frac, S=S, phi_prime=ops.D_x @ phi_x, F=F,
+                          Rhat=Rhat)
 
 
 def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:

@@ -132,25 +132,25 @@ def _run_name(cfg: RunConfig) -> str:
     return f"{cfg.problem} alpha={cfg.alpha} n={cfg.n} m={cfg.m}"
 
 
-def _nested_solve(spec, cfg: RunConfig):
-    """(system, SolveReport, set-up seconds) of cfg's grid.
+def _nested_solve(spec, lam: float, n: int, m: int, solver_cfg: SolverConfig):
+    """(system, SolveReport, set-up seconds) of the problem on the (n, m) grid.
 
     The solve starts from the solution at (n // 2, m // 2), interpolated onto
     this grid's nodes, when that grid is at least MIN_COARSE on each axis and
     its own (recursive) solve converged; from v = 0 otherwise. The set-up time
     covers this grid's node sets, operators and assembly only."""
     t0 = time.perf_counter()
-    ns_x = build_node_set(cfg.lam, cfg.n)
-    ns_t = build_node_set(cfg.lam, cfg.m)
-    sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, cfg.alpha))
+    ns_x = build_node_set(lam, n)
+    ns_t = build_node_set(lam, m)
+    sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t))
     setup_seconds = time.perf_counter() - t0
 
     v0 = None
-    if min(cfg.n, cfg.m) // 2 >= MIN_COARSE:
-        cs, coarse, _ = _nested_solve(spec, replace(cfg, n=cfg.n // 2, m=cfg.m // 2))
+    if min(n, m) // 2 >= MIN_COARSE:
+        cs, coarse, _ = _nested_solve(spec, lam, n // 2, m // 2, solver_cfg)
         if coarse.converged:
             v0 = evaluate_on_mesh(coarse.v, cs.ns_x, cs.ns_t, ns_x.nodes, ns_t.nodes).reshape(-1)
-    return sys_d, solve(sys_d, cfg.solver, v0), setup_seconds
+    return sys_d, solve(sys_d, solver_cfg, v0), setup_seconds
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -162,7 +162,7 @@ def run(cfg: RunConfig) -> RunResult:
     interpolations, and the fine solve. The errors are measured on `error_mesh_points`."""
     spec = REGISTRY[cfg.problem](cfg.alpha)
     t0 = time.perf_counter()
-    sys_d, report, precompute_seconds = _nested_solve(spec, cfg)
+    sys_d, report, precompute_seconds = _nested_solve(spec, cfg.lam, cfg.n, cfg.m, cfg.solver)
     et_seconds = time.perf_counter() - t0 - precompute_seconds
 
     points = error_mesh_points(cfg.error_mesh)

@@ -1,18 +1,18 @@
 """Operational matrices on SGG grids: differentiation, cumulative/full integration,
-and the Riemann-Liouville / Caputo fractional matrices.
+and the Riemann-Liouville fractional matrix.
 
 Every integration matrix is one quadrature of the cardinal functions over
 [0, limit] (`_rl_rows`): the cumulative matrix is order 1 on the nodes, the
-row vector order 1 on [0, 1], and the RL matrix order beta on the nodes. The
-Caputo matrix is formed only in `build_operator_bundle`.
+row vector order 1 on [0, 1], and the RL matrix order beta on the nodes.
 
 The alpha-free operators are built once per process: the Gauss-Jacobi rule
 (`basis.gauss_jacobi`, built with numpy alone) is memoised per (points, beta),
 and `build_sgdm`, `build_sgim` and `build_sgirv` per node set, which
-`basis.build_node_set` memoises per (lam, n); their arrays are read-only.
-Everything that depends on alpha (`build_rl_fsgim`, the bundle's `rl_frac` and
-`caputo`) is built afresh on each call, so an alpha sweep does not grow the
-caches by an (m+1) x (m+1) matrix per alpha."""
+`basis.build_node_set` memoises per (lam, n); their arrays are read-only, and
+the `OperatorBundle` holds only them. The RL matrix depends on alpha, so
+`build_rl_fsgim` builds it afresh on each call (`assembly.assemble` does, with
+the problem's alpha), and an alpha sweep does not grow the caches by an
+(m+1) x (m+1) matrix per alpha."""
 
 from __future__ import annotations
 
@@ -94,39 +94,18 @@ def build_rl_fsgim(ns_t: NodeSet, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """All precomputed matrices for one (node sets, alpha) configuration."""
+    """The alpha-free operator matrices of one pair of node sets, each the
+    memoised read-only array of its builder."""
 
     ns_x: NodeSet
     ns_t: NodeSet
-    alpha: float
     D_x: np.ndarray
     Q_x: np.ndarray
     P_x: np.ndarray
+    D_t: np.ndarray
     Q_t: np.ndarray
-    rl_frac: np.ndarray  # order 1 - alpha; identity at alpha = 1
-    caputo: np.ndarray  # order alpha
 
 
-def build_operator_bundle(ns_x: NodeSet, ns_t: NodeSet, alpha: float) -> OperatorBundle:
-    """The operator matrices. The Caputo matrix of order alpha is the
-    order-(1-alpha) RL integration of the first derivative, rl_frac @ D_t;
-    alpha = 1 gives the plain differentiation matrix."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"fractional order alpha={alpha} outside (0, 1]")
-    D_t = build_sgdm(ns_t)
-    if alpha == 1.0:
-        rl, caputo = np.eye(ns_t.n + 1), D_t
-    else:
-        rl = build_rl_fsgim(ns_t, 1.0 - alpha)
-        caputo = rl @ D_t
-    return OperatorBundle(
-        ns_x=ns_x,
-        ns_t=ns_t,
-        alpha=alpha,
-        D_x=build_sgdm(ns_x),
-        Q_x=build_sgim(ns_x),
-        P_x=build_sgirv(ns_x),
-        Q_t=build_sgim(ns_t),
-        rl_frac=rl,
-        caputo=caputo,
-    )
+def build_operator_bundle(ns_x: NodeSet, ns_t: NodeSet) -> OperatorBundle:
+    return OperatorBundle(ns_x, ns_t, build_sgdm(ns_x), build_sgim(ns_x), build_sgirv(ns_x),
+                          build_sgdm(ns_t), build_sgim(ns_t))

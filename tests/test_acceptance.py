@@ -26,7 +26,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def make_system(spec, n, m):
     ns_x = build_node_set(0.5, n)
     ns_t = build_node_set(0.5, m)
-    ops = build_operator_bundle(ns_x, ns_t, spec.alpha)
+    ops = build_operator_bundle(ns_x, ns_t)
     return assemble(spec, ops)
 
 

@@ -1,5 +1,5 @@
 import dataclasses
-import re
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,11 +23,10 @@ from fbbmb.problems import REGISTRY, example1, example2, make_separable_problem,
 from oracles import caputo_power_rule, example1_source, example2_source, poly_source, trig_source
 
 
-def make_system(spec, n, m, **bundle_kwargs):
+def make_system(spec, n, m):
     ns_x = build_node_set(0.5, n)
     ns_t = build_node_set(0.5, m)
-    ops = build_operator_bundle(ns_x, ns_t, spec.alpha, **bundle_kwargs)
-    return assemble(spec, ops)
+    return assemble(spec, build_operator_bundle(ns_x, ns_t))
 
 
 def without_nonlinear_term(sys):
@@ -206,9 +205,8 @@ class TestAssemble:
         spec = example1(0.6)
         ns_x = build_node_set(0.5, 1)
         ns_t = build_node_set(0.5, 1)
-        ops = build_operator_bundle(ns_x, ns_t, 0.6)
-        sys = assemble(spec, ops)
-        Qx, Dx, B = ops.Q_x, ops.D_x, ops.rl_frac
+        sys = assemble(spec, build_operator_bundle(ns_x, ns_t))
+        Qx, Dx, B = sys.Q_x, sys.D_x, sys.rl_frac
         expected = np.empty((4, 4))
         for i in range(2):
             for j in range(2):
@@ -224,9 +222,8 @@ class TestAssemble:
         spec = example1(1.0)
         ns_x = build_node_set(0.5, 4)
         ns_t = build_node_set(0.5, 4)
-        ops = build_operator_bundle(ns_x, ns_t, 1.0)
-        sys = assemble(spec, ops)
-        expected = np.kron(ops.Q_x - ops.D_x, np.eye(5))
+        sys = assemble(spec, build_operator_bundle(ns_x, ns_t))
+        expected = np.kron(sys.Q_x - sys.D_x, np.eye(5))
         np.testing.assert_allclose(psi_matrix(sys), expected, atol=1e-13)
 
     def test_no_field_holds_n_squared_entries(self):
@@ -249,12 +246,25 @@ class TestAssemble:
         for field in ("S", "phi_prime", "F", "Rhat"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
-    def test_alpha_mismatch_rejected(self):
-        spec = example1(0.5)
-        ns = build_node_set(0.5, 3)
-        ops = build_operator_bundle(ns, ns, 0.6)
-        with pytest.raises(ValueError, match=re.escape("bundle alpha=0.6 != problem alpha=0.5")):
-            assemble(spec, ops)
+
+class TestCaputoTerm:
+    """F = f - D_t^alpha psi1 on the grid, with the Caputo derivative that
+    `assemble` forms from the problem's alpha."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_f_subtracts_exact_caputo_of_psi1(self, alpha):
+        # example2: psi1 = t^2, so D_t^alpha psi1 = Gamma(3) / Gamma(3 - alpha) t^(2 - alpha);
+        # the degree-2 trace is interpolated exactly on any grid with m >= 2
+        spec = example2(alpha)
+        sys = make_system(spec, 5, 8)
+        x, t = sys.ns_x.nodes, sys.ns_t.nodes
+        dpsi1 = math.gamma(3.0) / math.gamma(3.0 - alpha) * t ** (2.0 - alpha)
+        expected = spec.f(x[:, None], t[None, :]) - dpsi1[None, :]
+        np.testing.assert_allclose(sys.F, expected, rtol=0, atol=1e-12)
+
+    def test_rl_frac_is_the_identity_at_alpha_one(self):
+        sys = make_system(example1(1.0), 5, 8)
+        assert np.array_equal(sys.rl_frac, np.eye(9))
 
 
 class TestResidual:

@@ -30,9 +30,9 @@ def test_every_traced_name_resolves(spans):
 
 def test_system_bytes_of_an_assembled_system(spans):
     n, m = 5, 3
-    ops = build_operator_bundle(build_node_set(0.5, n), build_node_set(0.5, m), 0.5)
+    ops = build_operator_bundle(build_node_set(0.5, n), build_node_set(0.5, m))
     N = (n + 1) * (m + 1)
-    # D_x, Q_x; P_x, phi_prime; Q_t, rl_frac, caputo; S, F; Rhat
+    # D_x, Q_x; P_x, phi_prime; D_t, Q_t, rl_frac; S, F; Rhat
     floats = 2 * (n + 1) ** 2 + 2 * (n + 1) + 3 * (m + 1) ** 2 + 2 * N + (m + 1)
     system = assemble(REGISTRY["example2"](0.5), ops)
     assert spans.system_bytes(system) == 8 * floats

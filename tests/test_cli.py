@@ -64,7 +64,7 @@ def parse_run_result_csv(text: str) -> list[dict]:
 def cold_system(cfg):
     ns_x = build_node_set(cfg.lam, cfg.n)
     ns_t = build_node_set(cfg.lam, cfg.m)
-    return assemble(REGISTRY[cfg.problem](cfg.alpha), build_operator_bundle(ns_x, ns_t, cfg.alpha))
+    return assemble(REGISTRY[cfg.problem](cfg.alpha), build_operator_bundle(ns_x, ns_t))
 
 
 @pytest.fixture
@@ -185,7 +185,7 @@ class TestRun:
         spec = REGISTRY["example2"](0.5)
         ns_x = build_node_set(0.5, 6)
         ns_t = build_node_set(0.5, 6)
-        sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t, 0.5))
+        sys_d = assemble(spec, build_operator_bundle(ns_x, ns_t))
         xs = np.linspace(0.0, 1.0, 101)
         ts = xs if mesh == "uniform101" else np.array([1.0])
         U = evaluate_on_mesh(solve(sys_d, SolverConfig()).u, ns_x, ns_t, xs, ts)

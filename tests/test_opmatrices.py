@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from fbbmb.assembly import assemble
 from fbbmb.basis import build_node_set
 from fbbmb.opmatrices import (
     _gauss_jacobi,
@@ -15,6 +16,7 @@ from fbbmb.opmatrices import (
     build_sgim,
     build_sgirv,
 )
+from fbbmb.problems import example1
 from oracles import caputo_power_rule, fd_derivative, rlfi_power_rule
 
 
@@ -168,14 +170,13 @@ class TestFracIntMatrix:
 
 
 def caputo(ns, alpha):
-    return build_operator_bundle(ns, ns, alpha).caputo
+    """The Caputo matrix of order alpha that `assembly.assemble` applies to psi1:
+    the order-(1 - alpha) RL integration of the first derivative."""
+    D = build_sgdm(ns)
+    return D if alpha == 1.0 else build_rl_fsgim(ns, 1.0 - alpha) @ D
 
 
 class TestCaputoMatrix:
-    def test_alpha_out_of_range(self, ns5):
-        with pytest.raises(ValueError, match=re.escape("fractional order alpha=1.5 outside (0, 1]")):
-            caputo(ns5, 1.5)
-
     def test_constant_annihilated(self, ns8):
         A = caputo(ns8, 0.5)
         np.testing.assert_allclose(A @ np.ones(9), 0.0, atol=1e-10)
@@ -232,21 +233,16 @@ class TestGaussJacobiRule:
 
 
 class TestOperatorBundle:
-    def test_alpha_one_identity_reduction(self, ns5, ns8):
-        ops = build_operator_bundle(ns5, ns8, 1.0)
-        np.testing.assert_allclose(ops.rl_frac, np.eye(9), atol=1e-12)
-
     def test_shapes(self, ns5, ns8):
-        ops = build_operator_bundle(ns5, ns8, 0.5)
-        assert ops.D_x.shape == (6, 6)
+        ops = build_operator_bundle(ns5, ns8)
+        assert ops.D_x.shape == ops.Q_x.shape == (6, 6)
         assert ops.P_x.shape == (1, 6)
-        assert ops.Q_t.shape == (9, 9)
-        assert ops.caputo.shape == (9, 9)
+        assert ops.D_t.shape == ops.Q_t.shape == (9, 9)
 
 
 class TestOperatorCache:
     """The alpha-free operators are memoised per node set and read-only; the
-    alpha-dependent ones are built afresh on each call."""
+    RL matrix, which depends on alpha, is built afresh on each call."""
 
     @pytest.mark.parametrize("builder", [build_sgdm, build_sgim, build_sgirv])
     def test_repeat_returns_same_read_only_array(self, ns8, builder):
@@ -261,17 +257,17 @@ class TestOperatorCache:
         ns = build_node_set(lam, n)
         assert np.array_equal(builder(ns), builder.__wrapped__(ns))
 
-    def test_alpha_dependent_matrices_not_cached(self, ns8):
-        a, b = build_operator_bundle(ns8, ns8, 0.5), build_operator_bundle(ns8, ns8, 0.5)
-        assert a.D_x is b.D_x and a.Q_t is b.Q_t
-        for name in ("rl_frac", "caputo"):
-            assert getattr(a, name) is not getattr(b, name)
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+    def test_bundles_of_the_same_node_sets_share_every_array(self, ns5, ns8):
+        a, b = build_operator_bundle(ns5, ns8), build_operator_bundle(ns5, ns8)
+        for name, value in vars(a).items():
+            assert vars(b)[name] is value, name
+
+    def test_rl_matrix_not_cached(self, ns8):
         assert build_rl_fsgim(ns8, 0.5) is not build_rl_fsgim(ns8, 0.5)
 
     def test_alpha_sweep_does_not_grow_operator_caches(self, ns5, ns8):
-        build_operator_bundle(ns5, ns8, 0.5)
+        ops = build_operator_bundle(ns5, ns8)
         sizes = [f.cache_info().currsize for f in (build_sgdm, build_sgim, build_sgirv)]
         for alpha in (0.1, 0.3, 0.7, 0.9, 1.0):
-            build_operator_bundle(ns5, ns8, alpha)
+            assemble(example1(alpha), ops)
         assert [f.cache_info().currsize for f in (build_sgdm, build_sgim, build_sgirv)] == sizes

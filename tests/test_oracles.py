@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fbbmb.basis import build_node_set, cardinal_matrix
-from fbbmb.opmatrices import build_operator_bundle, build_sgdm
+from fbbmb.opmatrices import build_rl_fsgim, build_sgdm
 from oracles import (
     OracleConfig,
     caputo_power_rule,
@@ -103,7 +103,7 @@ class TestCaputoMatrixAgainstOracle:
         # t^1.5 data the quadrature oracle applied to the interpolant's
         # derivative must agree to near machine precision
         ns = build_node_set(0.5, 8)
-        A = build_operator_bundle(ns, ns, 0.5).caputo
+        A = build_rl_fsgim(ns, 0.5) @ build_sgdm(ns)  # the Caputo matrix of order 0.5
         data = ns.nodes**1.5
         dp = build_sgdm(ns) @ data
         oracle = np.array(

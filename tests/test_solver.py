@@ -30,7 +30,7 @@ def zero_pivot_getrf(a, overwrite_a):
 def make_system(spec, n, m):
     ns_x = build_node_set(0.5, n)
     ns_t = build_node_set(0.5, m)
-    ops = build_operator_bundle(ns_x, ns_t, spec.alpha)
+    ops = build_operator_bundle(ns_x, ns_t)
     return assemble(spec, ops)
 
 
@@ -513,7 +513,7 @@ class TestStressFixture:
         X = lambda x: np.exp(k * x)
         spec = make_separable_problem(alpha, X, lambda x: k * X(x), lambda x: k * k * X(x), {p: A})
         ns = build_node_set(lam, n)
-        sys_d = assemble(spec, build_operator_bundle(ns, ns, alpha))
+        sys_d = assemble(spec, build_operator_bundle(ns, ns))
         rep, levels, factored = TestRoundingLevelStop.traced_solve(pytest.MonkeyPatch(), sys_d, method)
         exact = spec.exact(ns.nodes[:, None], ns.nodes[None, :]).reshape(-1)
         right = np.mean(np.abs(rep.u - exact)) <= 1e-6 * np.mean(np.abs(exact))
@@ -597,7 +597,7 @@ class TestMemory:
         # the only O(N^2) array a solve holds
         spec = example2(0.5)
         ns = build_node_set(0.5, 20)
-        ops = build_operator_bundle(ns, ns, spec.alpha)
+        ops = build_operator_bundle(ns, ns)
         N = 21 * 21
         tracemalloc.start()
         try:
