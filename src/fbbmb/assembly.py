@@ -134,16 +134,18 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
 
     Entry ((i, j), (p, q)) of J(v) is
     Q_x[i,p] (rl_frac[j,q] + Y[i,j] Q_t[j,q]) - D_x[i,p] [j=q] + W[i,j] Q_t[j,q] [i=p];
-    the first term is one broadcast product into the whole block, the other two
-    touch only its (n+1)^2 (m+1) and (n+1)(m+1)^2 entries, through einsum diagonal views.
+    the first term is one broadcast product into the whole block, a contiguous
+    row (p, q) of length N at a time; the other two touch only its (n+1)^2 (m+1)
+    and (n+1)(m+1)^2 entries, through einsum diagonal views.
     """
     n1, m1 = sys.ns_x.n + 1, sys.ns_t.n + 1
     N = n1 * m1
     Y, W = _nonlinear_factors(sys, v)
     out_t = np.empty((N, N + m1))  # out_t[(p, q), (i, j)] = J[(i, j), (p, q)]
-    T4 = out_t[:, :N].reshape(n1, m1, n1, m1)
     A = sys.rl_frac.T[:, None, :] + Y[None, :, :] * sys.Q_t.T[:, None, :]  # [q, i, j]
-    np.multiply(sys.Q_x.T[:, None, :, None], A[None], out=T4)
+    np.multiply(np.repeat(sys.Q_x.T, m1, axis=1)[:, None, :],  # [p, (i, j)] = Q_x[i, p]
+                A.reshape(1, m1, N), out=out_t[:, :N].reshape(n1, m1, N))
+    T4 = out_t[:, :N].reshape(n1, m1, n1, m1)
     np.einsum("pqiq->pqi", T4)[...] -= sys.D_x.T[:, None, :]  # [p, q, i]: j = q
     np.einsum("pqpj->pqj", T4)[...] += W[:, None, :] * sys.Q_t.T[None]  # [p, q, j]: i = p
     out_t[:, N:] = (sys.P_x.T[:, :, None] * sys.Q_t.T).reshape(N, m1)  # C^T

@@ -336,6 +336,33 @@ class TestJacobian:
         N = sys.F.size
         assert np.array_equal(jacobian(sys, v)[:N], T.reshape(N, N))
 
+    @staticmethod
+    def four_d_fill(sys, v):
+        """The Jacobian with its Q_x (x) (rl_frac + Y Q_t) block filled by one
+        4-D broadcast product over [p, q, i, j], the other terms as `jacobian`
+        adds them."""
+        n1, m1 = sys.ns_x.n + 1, sys.ns_t.n + 1
+        N = n1 * m1
+        VQt = v.reshape(n1, m1) @ sys.Q_t.T
+        Y = VQt + sys.phi_prime[:, None]
+        W = 1.0 + sys.S + sys.Q_x @ VQt
+        out_t = np.empty((N, N + m1))
+        T4 = out_t[:, :N].reshape(n1, m1, n1, m1)
+        A = sys.rl_frac.T[:, None, :] + Y[None, :, :] * sys.Q_t.T[:, None, :]
+        np.multiply(sys.Q_x.T[:, None, :, None], A[None], out=T4)
+        np.einsum("pqiq->pqi", T4)[...] -= sys.D_x.T[:, None, :]
+        np.einsum("pqpj->pqj", T4)[...] += W[:, None, :] * sys.Q_t.T[None]
+        out_t[:, N:] = (sys.P_x.T[:, :, None] * sys.Q_t.T).reshape(N, m1)
+        return out_t.T
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (12, 12), (3, 7), (9, 2)])
+    def test_row_products_equal_the_four_d_fill_bit_for_bit(self, n, m):
+        # each row (p, q) of the block is one product of length N; the same
+        # entries the 4-D broadcast forms, in the same two multiplications
+        sys = make_system(example1(0.3), n, m)
+        v = 0.3 * np.random.default_rng(7).standard_normal(sys.F.size)
+        assert np.array_equal(jacobian(sys, v), self.four_d_fill(sys, v))
+
     def test_shape_and_constraint_rows(self):
         n, m = 3, 4
         sys = make_system(example2(0.5), n, m)
