@@ -12,10 +12,13 @@ radius can end the loop. The solver reads the system only through
 `assembly`'s functions and its size N.
 
 There is one iteration loop. Each pass computes the merit's rounding level,
-tries the held LU's step (below), takes the Gauss-Newton step, tests the
-rounding floor, and shortens the step until it lowers the merit; it stops
-"stagnation" when MAX_TRIALS shortened steps find no decrease, "max_iters"
-after cfg.max_iters steps, and "singular" when the LU is rejected (below).
+holds one step (the held LU's, below, or a fresh LU's), tests the rounding
+floor, and shortens the step until it lowers the merit; it stops "stagnation"
+when MAX_TRIALS shortened steps find no decrease, "max_iters" after
+cfg.max_iters steps, and "singular" when the LU is rejected (below). A step
+that is not finite, tested once when it is obtained, is never added to v: a
+held one is not tried, and a fresh one leaves the dogleg its Cauchy step and
+Newton nothing to shorten ("stagnation").
 `iterations` and cfg.max_iters count every accepted step, chord steps included.
 `cfg.method` picks only the shortening (Nocedal & Wright, Numerical
 Optimization, ch. 10-11): "newton" halves the step (`_line_search`);
@@ -32,8 +35,8 @@ loop holds from an earlier Jacobian, at the cost of one residual. Above the
 merit's rounding level it keeps that step as a chord step, building no
 Jacobian, when the new merit is finite and at most CHORD_CONTRACTION = 0.003
 times the old one (||G||_2 falls at least 18-fold); otherwise it discards the
-trial and goes on as if none had been made. At the rounding level the same
-trial is the last step (below). The dogleg's radius is left as it was. Looser
+trial and goes on as if none had been made. At the rounding level the held
+step is the last (below). The dogleg's radius is left as it was. Looser
 thresholds keep chord steps that lead the iteration astray: on the first 500
 draws of the tier-1 stress fixture's generator (data outside the registry),
 0.003 gets Newton 459 and the dogleg 489 right answers, 0.01 gets 458 and 488
@@ -77,17 +80,17 @@ Rounding floor: once the full step's predicted decrease 0.5 ||J p||^2 is no
 larger than the rounding level of the merit, ||G||_2 sqrt(rows) eps
 (||Psi||_inf ||v||_inf + ||F||_inf) (the componentwise bound on the computed
 residual, Higham ch. 3, scaled by `assembly.rounding_scale`), no further
-iteration can be told from roundoff. The loop then takes the full step unless
-it raises the merit, and stops converged with stop_reason "floor".
-The level is computed once per iteration, before any Jacobian. As the exact
-step's predicted decrease 0.5 ||P_J G||^2 is never above the merit 0.5 ||G||^2,
-a merit already within the level means the floor test would pass: the loop
-then stops "floor" without factoring J(v), after the held LU's trial, kept
-unless it raises the merit. A start at rounding level (a cascade's
-interpolated solution) so stops after 0 steps. These two tests are the only
-ways to "floor": the held LU's step ends the loop only when the merit is
-already at its rounding level. Both need a finite merit: once G overflows,
-the level is inf too and would pass any test.
+iteration can be told from roundoff. The level is computed once per
+iteration, before any Jacobian. As the exact step's predicted decrease
+0.5 ||P_J G||^2 is never above the merit 0.5 ||G||^2, a merit already within
+the level means the floor test would pass: the loop then factors no J(v),
+and the pass's step is the held LU's, if there is one. A start at rounding
+level (a cascade's interpolated solution) holds no LU and so stops after
+0 steps. Either test passed, one block takes the pass's step unless it raises
+the merit and stops converged with stop_reason "floor"; the held LU's step
+ends the loop only when the merit is already at its rounding level. Both
+tests need a finite merit: once G overflows, the level is inf too and would
+pass any test.
 The floor scales with ||Psi|| and ||v||; an absolute bound on ||J^T G|| would
 not, since ||J|| grows like n^2.
 """
@@ -151,10 +154,11 @@ class SolveReport:
     `iterations` counts the accepted steps, chord steps included, and
     `factorizations` the LUs taken, the one rejected LU that ends a "singular"
     solve included. `stop_reason` names the test that ended the iteration:
-    "floor" (the merit, or the step's predicted decrease, is within the
-    merit's rounding level; a held LU's step ends the loop only when the merit
-    is already there), the one converged verdict;
-    "stagnation" (MAX_TRIALS shortened steps found no decrease), "max_iters"
+    "floor" (the merit, or a fresh step's predicted decrease, is within the
+    merit's rounding level; the pass's one step, a held LU's only when the
+    merit is already there, is taken unless it raises it), the one converged
+    verdict; "stagnation" (MAX_TRIALS shortened steps found no decrease, or
+    under "newton" the fresh step is not finite), "max_iters"
     (cfg.max_iters steps taken) or "singular" (`newton_step` rejected the LU),
     not converged."""
 
@@ -212,19 +216,15 @@ def _rounding_level(v, G, scale):
             * (psi_norm * float(np.max(np.abs(v))) + f_norm))
 
 
-def _at_floor(sys, v, step, level):
-    """Whether the full step's predicted decrease is within the merit's
-    rounding level; never for a non-finite step."""
-    if not np.all(np.isfinite(step)):
-        return False
-    Jp = jvp(sys, v, step)
-    return 0.5 * float(Jp @ Jp) <= level
-
-
 def _merit(G):
     # residuals need not vanish at the minimizer, so backtrack on the
     # least-squares merit rather than the residual norm
     return 0.5 * float(G @ G)
+
+
+def _finite(step):
+    """The step, or None when an entry of it is not finite."""
+    return step if np.all(np.isfinite(step)) else None
 
 
 def _line_search(sys, v, G, step):
@@ -261,9 +261,7 @@ def _dogleg_step(step_newton, g, Jg, radius):
 
 def _dogleg(sys, v, G, step, radius):
     """((accepted step, residual after it) or None, the radius to carry on).
-    A radius of None is set from the first step."""
-    if not np.all(np.isfinite(step)):
-        step = None
+    A radius of None is set from the first step; a step of None is not finite."""
     g = vjp(sys, v, G)
     Jg = jvp(sys, v, g)
     if radius is None:
@@ -272,7 +270,7 @@ def _dogleg(sys, v, G, step, radius):
     merit = _merit(G)
     for _ in range(MAX_TRIALS):
         p, hit_boundary = _dogleg_step(step, g, Jg, radius)
-        predicted = merit - 0.5 * float(np.sum((G + jvp(sys, v, p)) ** 2))
+        predicted = merit - _merit(G + jvp(sys, v, p))
         G_new = residual(sys, v + p)
         rho = (merit - _merit(G_new)) / predicted if predicted > 0 else -1.0
         if rho > ETA_ACCEPT:
@@ -299,40 +297,40 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
     reason = "max_iters"
     while k < cfg.max_iters:
         merit = _merit(G)
-        finite = np.isfinite(merit)
         level = _rounding_level(v, G, scale)
-        at_level = finite and merit <= level
-        if factors is not None:
-            # the held LU's step: a chord step if it cuts the merit about 333-fold
-            # (||G||_2 18-fold); at the rounding level, the last unless it raises it
-            v_new = v + _lu_step(factors, G)
-            G_new = residual(sys, v_new)
-            merit_new = _merit(G_new)
-            bound = merit if at_level else CHORD_CONTRACTION * merit
-            if np.isfinite(merit_new) and merit_new <= bound:
-                v, G, k = v_new, G_new, k + 1
-                if not at_level:
-                    continue
+        # the floor test would pass at v: the held LU's step is the last, and
+        # no Jacobian is factored to confirm the floor
+        at_level = np.isfinite(merit) and merit <= level
+        step = None if factors is None else _finite(_lu_step(factors, G))
+        if step is not None and not at_level:
+            # a chord step if it cuts the merit about 333-fold (||G||_2 18-fold);
+            # an LU is held only at a finite merit, so a new one that is not
+            # finite fails this test
+            G_new = residual(sys, v + step)
+            if _merit(G_new) <= CHORD_CONTRACTION * merit:
+                v, G, k = v + step, G_new, k + 1
+                continue
+            step = None
+        if step is None and not at_level:
+            factors = None  # free the last LU before the next Jacobian is built
+            step, factors = newton_step(sys, v, G)
+            factorizations += 1
+            if factors is None:
+                reason = "singular"
+                break
+            step = _finite(step)
+            at_level = (step is not None and np.isfinite(merit)
+                        and _merit(jvp(sys, v, step)) <= level)
         if at_level:
-            # the floor test would pass at v: stop rather than factor J(v) to confirm it
-            reason = "floor"
-            break
-        factors = None  # free the last LU before the next Jacobian is built
-        step, factors = newton_step(sys, v, G)
-        factorizations += 1
-        if factors is None:
-            reason = "singular"
-            break
-        if finite and _at_floor(sys, v, step, level):
-            # take the full step unless it raises the merit
-            v_new = v + step
-            G_new = residual(sys, v_new)
-            if _merit(G_new) <= merit:
-                v, G, k = v_new, G_new, k + 1
+            # take the step unless it raises the merit
+            if step is not None:
+                G_new = residual(sys, v + step)
+                if _merit(G_new) <= merit:
+                    v, G, k = v + step, G_new, k + 1
             reason = "floor"
             break
         if cfg.method == "newton":
-            accepted = _line_search(sys, v, G, step)
+            accepted = None if step is None else _line_search(sys, v, G, step)
         else:
             accepted, radius = _dogleg(sys, v, G, step, radius)
         if accepted is None:

@@ -295,6 +295,66 @@ class TestDoglegRadius:
         np.testing.assert_allclose(rep.v, base.v, atol=1e-12)
 
 
+class TestNonFiniteStep:
+    # a step with an entry that is not finite is never added to v, so no
+    # residual is evaluated at a point that is not finite
+
+    @pytest.fixture
+    def residual_points(self, monkeypatch):
+        points = []
+
+        def checked(sys, v):
+            assert np.all(np.isfinite(v)), "residual at a point that is not finite"
+            points.append(v)
+            return residual(sys, v)
+
+        monkeypatch.setattr(fbbmb.solver, "residual", checked)
+        return points
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fresh_step_ends_newton_at_once(self, sys_ex2, monkeypatch, residual_points, bad):
+        # Newton has nothing to shorten: "stagnation" after 0 steps, with the
+        # residual evaluated only at v0
+        def bad_step(sys, v, G):
+            step, factors = newton_step(sys, v, G)
+            return np.full_like(step, bad), factors
+
+        monkeypatch.setattr(fbbmb.solver, "newton_step", bad_step)
+        rep = solve(sys_ex2, SolverConfig())
+        assert (rep.stop_reason, rep.iterations, rep.factorizations) == ("stagnation", 0, 1)
+        assert len(residual_points) == 1
+        np.testing.assert_array_equal(rep.v, np.zeros(sys_ex2.F.size))
+
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_held_step_is_skipped(self, monkeypatch, residual_points, method, bad):
+        # every held LU's step is not finite: no pass tries it, each factors
+        # afresh, and the solve still reaches the floor at the answer it finds
+        # with chord steps
+        sys8 = make_system(TestRoundingLevelStop.scaled_example2(10)(0.5), 8, 8)
+        base = solve(sys8, SolverConfig(method=method))
+        assert base.factorizations < base.iterations  # chord steps were kept
+        inside, lu_step = [], fbbmb.solver._lu_step
+
+        def fresh_only(sys, v, G):
+            inside.append(1)
+            try:
+                return newton_step(sys, v, G)
+            finally:
+                inside.pop()
+
+        def bad_held(factors, G):
+            step = lu_step(factors, G)
+            return step if inside else np.full_like(step, bad)
+
+        monkeypatch.setattr(fbbmb.solver, "newton_step", fresh_only)
+        monkeypatch.setattr(fbbmb.solver, "_lu_step", bad_held)
+        rep = solve(sys8, SolverConfig(method=method))
+        assert rep.stop_reason == "floor"
+        assert rep.factorizations >= rep.iterations  # no chord step
+        np.testing.assert_allclose(rep.v, base.v, rtol=0, atol=1e-9 * np.max(np.abs(base.v)))
+
+
 class TestDoglegStep:
     # _dogleg_step's three branches on hand-made vectors in the plane; with
     # g = (1, 0) and J g = (2, 0) the Cauchy step is -(|g|^2 / |J g|^2) g = (-1/4, 0)
@@ -465,6 +525,29 @@ class TestRoundingLevelStop:
         assert (rep.stop_reason, rep.factorizations, len(iterates), len(steps)) == ("floor", 1, 2, 2)
         assert rep.iterations == (2 if kept else 1)
         assert np.array_equal(rep.v, iterates[1]) != kept
+
+    @pytest.mark.parametrize("method", ["newton", "trust_region"])
+    @pytest.mark.parametrize("sign, kept", [(1.0, True), (-1.0, False)])
+    def test_fresh_floor_step_kept_unless_it_raises_the_merit(self, monkeypatch, method,
+                                                               sign, kept):
+        # with J p taken to be zero, the first fresh LU's step passes the floor
+        # test at v = 0: as it is, it lowers the merit and is kept; reversed,
+        # it raises the merit and the loop stops "floor" at v = 0
+        sys6 = make_system(example2(0.5), 6, 6)
+        rows = sys6.F.size + sys6.ns_t.nodes.size
+        steps = []
+
+        def signed(sys, v, G):
+            step, factors = newton_step(sys, v, G)
+            steps.append(step)
+            return sign * step, factors
+
+        monkeypatch.setattr(fbbmb.solver, "jvp", lambda sys, v, p: np.zeros(rows))
+        monkeypatch.setattr(fbbmb.solver, "newton_step", signed)
+        rep = solve(sys6, SolverConfig(method=method))
+        assert (rep.stop_reason, rep.factorizations) == ("floor", 1)
+        assert rep.iterations == (1 if kept else 0)
+        np.testing.assert_array_equal(rep.v, steps[0] if kept else np.zeros(sys6.F.size))
 
     @pytest.mark.parametrize("method", ["newton", "trust_region"])
     def test_held_step_kept_only_on_a_hundredfold_fall(self, monkeypatch, method):
