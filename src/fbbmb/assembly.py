@@ -89,29 +89,28 @@ def _grid(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     return v.reshape(sys.ns_x.n + 1, sys.ns_t.n + 1)
 
 
-def _nonlinear_factors(sys: DiscreteSystem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Y = K_tn v + phi' and W = 1 + S + Q_tx v, as (n+1) x (m+1) grids."""
-    V = _grid(sys, v)
-    VQt = V @ sys.Q_t.T
+def _nonlinear_factors(sys: DiscreteSystem, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Y = K_tn v + phi', W = 1 + S + Q_tx v and the V Q_t^T they share, as (n+1) x (m+1) grids."""
+    VQt = _grid(sys, v) @ sys.Q_t.T
     Y = VQt + sys.phi_prime[:, None]
     W = 1.0 + sys.S + sys.Q_x @ VQt
-    return Y, W
+    return Y, W, VQt
 
 
 def residual(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """Stacked residual [Psi v + N(v) - F; C v - Rhat] with the nonlinear term
     N(v) = Y(v) .* W(v)."""
     V = _grid(sys, v)
-    Y, W = _nonlinear_factors(sys, v)
+    Y, W, VQt = _nonlinear_factors(sys, v)
     top = sys.Q_x @ V @ sys.rl_frac.T - sys.D_x @ V - sys.F + Y * W
-    return np.concatenate([top.reshape(-1), (sys.P_x @ (V @ sys.Q_t.T))[0] - sys.Rhat])
+    return np.concatenate([top.reshape(-1), (sys.P_x @ VQt)[0] - sys.Rhat])
 
 
 def jvp(sys: DiscreteSystem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """[J(v); C] p with J(v) = Psi + Diag(W) K_tn + Diag(Y) Q_tx, without
     forming J."""
     P = _grid(sys, p)
-    Y, W = _nonlinear_factors(sys, v)
+    Y, W, _ = _nonlinear_factors(sys, v)
     QP, PQt = sys.Q_x @ P, P @ sys.Q_t.T
     top = QP @ sys.rl_frac.T - sys.D_x @ P + W * PQt + Y * (QP @ sys.Q_t.T)
     return np.concatenate([top.reshape(-1), (sys.P_x @ PQt)[0]])
@@ -121,7 +120,7 @@ def vjp(sys: DiscreteSystem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """[J(v); C]^T q for q of length N+m+1, without forming J."""
     N = sys.F.size
     Qm = _grid(sys, q[:N])
-    Y, W = _nonlinear_factors(sys, v)
+    Y, W, _ = _nonlinear_factors(sys, v)
     top = (sys.Q_x.T @ (Qm @ sys.rl_frac + (Y * Qm) @ sys.Q_t) - sys.D_x.T @ Qm
            + (W * Qm) @ sys.Q_t + sys.P_x.T * (q[N:] @ sys.Q_t))
     return top.reshape(-1)
@@ -140,7 +139,7 @@ def jacobian(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """
     n1, m1 = sys.ns_x.n + 1, sys.ns_t.n + 1
     N = n1 * m1
-    Y, W = _nonlinear_factors(sys, v)
+    Y, W, _ = _nonlinear_factors(sys, v)
     out_t = np.empty((N, N + m1))  # out_t[(p, q), (i, j)] = J[(i, j), (p, q)]
     A = sys.rl_frac.T[:, None, :] + Y[None, :, :] * sys.Q_t.T[:, None, :]  # [q, i, j]
     np.multiply(np.repeat(sys.Q_x.T, m1, axis=1)[:, None, :],  # [p, (i, j)] = Q_x[i, p]

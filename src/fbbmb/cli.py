@@ -66,6 +66,7 @@ def error_mesh_points(error_mesh: str) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One row's inputs; construction runs every check of a row, the problem's own among them."""
     problem: str = "example1"
     alpha: float = 0.5
     n: int = 7
@@ -77,8 +78,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in REGISTRY:
             raise ValueError(f"unknown problem {self.problem!r}; known: {sorted(REGISTRY)}")
-        if not 0.0 < self.alpha <= 1.0:  # also rejects nan
-            raise ValueError(f"alpha={self.alpha} outside (0, 1]")
+        REGISTRY[self.problem](self.alpha)  # ProblemSpec checks alpha and the corner data
         if not (float(self.n).is_integer() and float(self.m).is_integer()):  # also nan, inf
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be integers")
         if self.n < 1 or self.m < 1:
@@ -180,7 +180,7 @@ def sweep(template: RunConfig, alphas: list[float] | None = None,
           sizes: list[int] | None = None) -> list[RunResult | RunFailure]:
     """Cartesian sweep over alpha and n = m, each failure recorded in its row.
     A list left None keeps the template's alpha, or its own (n, m); an empty one
-    is rejected. RunConfig validates every row before the first one runs."""
+    is rejected. Every row's RunConfig, and so its problem, is checked first."""
     alphas = [template.alpha] if alphas is None else alphas
     grids = [(template.n, template.m)] if sizes is None else [(s, s) for s in sizes]
     if not alphas or not grids:

@@ -106,20 +106,22 @@ class TestProblemSpec:
             ProblemSpec(alpha=0.5, phi=lambda x: 1.0, psi1=lambda t: 0.0,
                         psi2=lambda t: 1.0, f=lambda x, t: x * t)
 
-    @pytest.mark.parametrize("phi, psi1, accepted", [
+    @pytest.mark.parametrize("phi, psi1, psi2, error", [
         # corners that differ only by rounding, at 3e8: the absolute 1e-10 rejected them
-        (lambda x: 3e8 * (0.1 + 0.2 + x), lambda t: 3e8 * 0.3, True),
-        (lambda x: np.nan, lambda t: 0.0, False),  # NaN passed `diff > tol`
-    ], ids=["rounding_at_3e8", "nan_phi"])
-    def test_corner_check_is_relative_and_rejects_nan(self, phi, psi1, accepted):
+        (lambda x: 3e8 * (0.1 + 0.2 + x), lambda t: 3e8 * 0.3, lambda t: 3e8 * (0.1 + 0.2 + 1.0),
+         None),
+        (lambda x: np.nan, lambda t: 0.0, lambda t: np.nan, "corner"),  # NaN passed `diff > tol`
+        (lambda x: x, lambda t: 0.0, lambda t: 2.0, r"phi\(1\) != psi2"),  # the x = 1 corner
+    ], ids=["rounding_at_3e8", "nan_phi", "psi2_mismatch"])
+    def test_corner_check_is_relative_and_rejects_nan(self, phi, psi1, psi2, error):
         def spec():
-            return ProblemSpec(alpha=0.5, phi=phi, psi1=psi1, psi2=lambda t: phi(1.0),
+            return ProblemSpec(alpha=0.5, phi=phi, psi1=psi1, psi2=psi2,
                                f=lambda x, t: 0.0, exact=lambda x, t: 0.0)
 
-        if accepted:
+        if error is None:
             spec()
         else:
-            with pytest.raises(ValueError, match="corner"):
+            with pytest.raises(ValueError, match=error):
                 spec()
 
 

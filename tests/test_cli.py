@@ -16,7 +16,7 @@ import fbbmb.basis as basis
 import fbbmb.cli as cli
 import fbbmb.opmatrices as opmatrices
 import fbbmb.solver as solver
-from fbbmb.assembly import assemble, compute_aae, evaluate_on_mesh
+from fbbmb.assembly import ProblemSpec, assemble, compute_aae, evaluate_on_mesh
 from fbbmb.basis import build_node_set
 from fbbmb.cli import (
     EXIT_INVALID_CONFIG,
@@ -451,6 +451,21 @@ class TestMain:
         monkeypatch.setattr("fbbmb.cli.run", calls.append)
         code = main(["--problem", "example2", "--n", "4", "--m", "4", "--sweep-alpha", "0.5,1.5"])
         assert code == EXIT_INVALID_CONFIG
+        assert calls == []
+
+    def test_problem_checks_run_before_the_first_row(self, capsys, monkeypatch):
+        # RunConfig builds each row's ProblemSpec, so a problem that fails its
+        # own corner check rejects the sweep before any row runs
+        def bad_corners(alpha):
+            return ProblemSpec(alpha=alpha, phi=lambda x: 1.0, psi1=lambda t: 0.0,
+                               psi2=lambda t: 1.0, f=lambda x, t: 0.0)
+
+        calls = []
+        monkeypatch.setattr("fbbmb.cli.REGISTRY", {**REGISTRY, "bad_corners": bad_corners})
+        monkeypatch.setattr("fbbmb.cli.run", lambda cfg: calls.append(cfg) or run(cfg))
+        code = main(["--problem", "bad_corners", "--n", "4", "--m", "4", "--sweep-alpha", "0.3,0.5"])
+        assert code == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err == "error: incompatible corner data: phi(0) != psi1(0+)\n"
         assert calls == []
 
     def test_lambda_outside_window_runs_no_row(self, capsys, monkeypatch):
