@@ -8,12 +8,12 @@ A `DiscreteSystem` is the alpha-free `OperatorBundle` it was assembled from,
 extended by the problem's order-(1-alpha) RL matrix `rl_frac` (the identity at
 alpha = 1) and data in the shapes they are used in: nothing it holds is larger
 than a grid, and only this module reads its matrices. F holds the Caputo
-derivative of psi1, formed as (rl_frac @ D_t) @ psi1. The linear part Psi =
-Q_x (x) rl_frac - D_x (x) I, the nonlinear-term operators K_tn = I (x) Q_t and
-Q_tx = Q_x (x) Q_t, and the constraint C = P_x (x) Q_t are applied as matrix
-sandwiches at O(N (n+m)) each, N = (n+1)(m+1); so are the Jacobian products
-`jvp` and `vjp`. Only `jacobian` forms a dense matrix, the (N+m+1) x N
-[J(v); C] that a linear step factorizes.
+derivative of psi1, (rl_frac @ D_t) @ psi1, with the cached time SGDM D_t, which
+no solve reads. The linear part Psi = Q_x (x) rl_frac - D_x (x) I, the
+nonlinear-term operators K_tn = I (x) Q_t and Q_tx = Q_x (x) Q_t, and the
+constraint C = P_x (x) Q_t are applied as matrix sandwiches at O(N (n+m)) each,
+N = (n+1)(m+1); so are the Jacobian products `jvp` and `vjp`. Only `jacobian`
+forms a dense matrix, the (N+m+1) x N [J(v); C] that a linear step factorizes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import NodeSet, cardinal_matrix
-from .opmatrices import OperatorBundle, build_rl_fsgim
+from .opmatrices import OperatorBundle, build_rl_fsgim, build_sgdm
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def assemble(spec: ProblemSpec, ops: OperatorBundle) -> DiscreteSystem:
     phi0, phi1 = spec.phi(0.0), spec.phi(1.0)
 
     S = (phi_x - phi0)[:, None] + psi1_t[None, :]
-    F = f_grid - ((rl_frac @ ops.D_t) @ psi1_t)[None, :]
+    F = f_grid - ((rl_frac @ build_sgdm(ops.ns_t)) @ psi1_t)[None, :]
     Rhat = psi2_t - psi1_t - (phi1 - phi0)
     return DiscreteSystem(**vars(ops), rl_frac=rl_frac, S=S, phi_prime=ops.D_x @ phi_x, F=F,
                           Rhat=Rhat)

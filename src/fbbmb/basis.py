@@ -19,14 +19,6 @@ LAMBDA_MIN = -0.5 + 1e-3
 LAMBDA_MAX = 2.0
 
 
-def check_lambda(lam: float) -> None:
-    """Reject a Gegenbauer index outside (LAMBDA_MIN, LAMBDA_MAX]."""
-    if not (LAMBDA_MIN < lam <= LAMBDA_MAX):
-        raise ValueError(
-            f"lambda={lam} outside the valid window ({LAMBDA_MIN}, {LAMBDA_MAX}]"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class NodeSet:
     """SGG nodes in (0, 1), the Gauss nodes of w(x) = (x(1-x))^(lam-1/2), with
@@ -99,7 +91,8 @@ def build_node_set(lam: float, n: int) -> NodeSet:
     (Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014): within 2.3e-14 of
     the products 1/prod_k (x_j - x_k) for lam in [-0.498, 2] and n <= 96.
     Repeated calls with equal (lam, n) return the same read-only NodeSet."""
-    check_lambda(lam)
+    if not (LAMBDA_MIN < lam <= LAMBDA_MAX):
+        raise ValueError(f"lambda={lam} outside the valid window ({LAMBDA_MIN}, {LAMBDA_MAX}]")
     if not float(n).is_integer():
         raise ValueError(f"grid degree n={n} must be an integer")
     if n < 0:

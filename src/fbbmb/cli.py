@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble, compute_aae, evaluate_on_mesh
-from .basis import build_node_set, check_lambda
+from .basis import build_node_set
 from .opmatrices import build_operator_bundle
 from .problems import REGISTRY
 from .solver import SolverConfig, solve
@@ -66,7 +66,7 @@ def error_mesh_points(error_mesh: str) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One row's inputs; construction runs every check of a row, the problem's own among them."""
+    """One row's inputs; construction runs every check of a row, the problem's and the grid's."""
     problem: str = "example1"
     alpha: float = 0.5
     n: int = 7
@@ -79,11 +79,10 @@ class RunConfig:
         if self.problem not in REGISTRY:
             raise ValueError(f"unknown problem {self.problem!r}; known: {sorted(REGISTRY)}")
         REGISTRY[self.problem](self.alpha)  # ProblemSpec checks alpha and the corner data
-        if not (float(self.n).is_integer() and float(self.m).is_integer()):  # also nan, inf
-            raise ValueError(f"grid degrees n={self.n}, m={self.m} must be integers")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
-        check_lambda(self.lam)
+        build_node_set(self.lam, self.n)  # checks lam and each degree; builds the row's node sets
+        build_node_set(self.lam, self.m)
         error_mesh_points(self.error_mesh)
         for name, kind in (("alpha", float), ("n", int), ("m", int), ("lam", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))

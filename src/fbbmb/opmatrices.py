@@ -8,11 +8,11 @@ row vector order 1 on [0, 1], and the RL matrix order beta on the nodes.
 The alpha-free operators are built once per process: the Gauss-Jacobi rule
 (`basis.gauss_jacobi`, built with numpy alone) is memoised per (points, beta),
 and `build_sgdm`, `build_sgim` and `build_sgirv` per node set, which
-`basis.build_node_set` memoises per (lam, n); their arrays are read-only, and
-the `OperatorBundle` holds only them. The RL matrix depends on alpha, so
-`build_rl_fsgim` builds it afresh on each call (`assembly.assemble` does, with
-the problem's alpha), and an alpha sweep does not grow the caches by an
-(m+1) x (m+1) matrix per alpha."""
+`basis.build_node_set` memoises per (lam, n); their arrays are read-only. The
+`OperatorBundle` holds the four a solve reads, D_x, Q_x, P_x and Q_t. The RL
+matrix depends on alpha, so `build_rl_fsgim` builds it afresh on each call
+(`assembly.assemble` does, with the problem's alpha), and an alpha sweep does
+not grow the caches by an (m+1) x (m+1) matrix per alpha."""
 
 from __future__ import annotations
 
@@ -94,18 +94,16 @@ def build_rl_fsgim(ns_t: NodeSet, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """The alpha-free operator matrices of one pair of node sets, each the
-    memoised read-only array of its builder."""
+    """The alpha-free operators that a solve reads on one pair of node sets,
+    each the memoised read-only array of its builder."""
 
     ns_x: NodeSet
     ns_t: NodeSet
     D_x: np.ndarray
     Q_x: np.ndarray
     P_x: np.ndarray
-    D_t: np.ndarray
     Q_t: np.ndarray
 
 
 def build_operator_bundle(ns_x: NodeSet, ns_t: NodeSet) -> OperatorBundle:
-    return OperatorBundle(ns_x, ns_t, build_sgdm(ns_x), build_sgim(ns_x), build_sgirv(ns_x),
-                          build_sgdm(ns_t), build_sgim(ns_t))
+    return OperatorBundle(ns_x, ns_t, build_sgdm(ns_x), build_sgim(ns_x), build_sgirv(ns_x), build_sgim(ns_t))

@@ -237,6 +237,29 @@ class TestAssemble:
         largest = max(a.size for a in arrays if isinstance(a, np.ndarray))
         assert largest <= max(sys.F.size, (n + 1) ** 2, (m + 1) ** 2)
 
+    def test_every_array_the_system_holds_is_read(self):
+        # a solve reads a system only through these six functions; a field that
+        # none of them reads is carried for nothing
+        class Reads:
+            def __init__(self, sys):
+                self.sys, self.names = sys, set()
+
+            def __getattr__(self, name):
+                self.names.add(name)
+                return getattr(self.sys, name)
+
+        sys = make_system(example2(0.5), 5, 4)
+        proxy, v = Reads(sys), np.linspace(-1.0, 1.0, sys.F.size)
+        residual(proxy, v)
+        jvp(proxy, v, v)
+        vjp(proxy, v, np.linspace(-1.0, 1.0, sys.F.size + sys.ns_t.n + 1))
+        jacobian(proxy, v)
+        reconstruct(proxy, v)
+        rounding_scale(proxy)
+        arrays = [f.name for f in dataclasses.fields(sys)
+                  if isinstance(getattr(sys, f.name), np.ndarray)]
+        assert [name for name in arrays if name not in proxy.names] == []
+
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     @pytest.mark.parametrize("n, m", [(3, 7), (9, 4)])
     def test_constant_and_array_data_agree(self, name, n, m):

@@ -83,7 +83,7 @@ class TestGaussJacobi:
         assert w.sum() == pytest.approx(2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1), rel=1e-14)
 
 
-class TestBasisParams:
+class TestNodeSetChecks:
     """build_node_set's checks of the Gegenbauer index lam and the degree n."""
 
     def test_lambda_below_window_rejected(self):

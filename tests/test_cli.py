@@ -133,6 +133,21 @@ class TestRunConfigValidation:
         with pytest.raises((ValueError,)):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, lam, degree", [
+        ({"lam": -0.6}, -0.6, 7),
+        ({"lam": 2.5}, 2.5, 7),
+        ({"n": 4.5}, 0.5, 4.5),
+        ({"m": float("nan")}, 0.5, float("nan")),
+        ({"n": float("inf")}, 0.5, float("inf")),
+    ])
+    def test_grid_messages_are_build_node_sets(self, kwargs, lam, degree):
+        # build_node_set alone checks lam and each degree, and RunConfig calls it
+        with pytest.raises(ValueError) as expected:
+            build_node_set(lam, degree)
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**kwargs)
+        assert str(exc.value) == str(expected.value)
+
     @pytest.mark.parametrize("mesh, message", [
         ("random", "unknown error mesh 'random'"),
         ("slice=1.5", "slice time 1.5 outside [0, 1]"),

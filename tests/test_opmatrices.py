@@ -237,7 +237,7 @@ class TestOperatorBundle:
         ops = build_operator_bundle(ns5, ns8)
         assert ops.D_x.shape == ops.Q_x.shape == (6, 6)
         assert ops.P_x.shape == (1, 6)
-        assert ops.D_t.shape == ops.Q_t.shape == (9, 9)
+        assert ops.Q_t.shape == (9, 9)
 
 
 class TestOperatorCache:
