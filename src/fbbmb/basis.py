@@ -82,9 +82,9 @@ def gauss_jacobi(points: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
 
 
 def build_node_set(lam: float, n: int) -> NodeSet:
-    """The n + 1 SGG nodes of index lam on [0, 1]: the nodes of the
-    Gauss-Gegenbauer rule on [-1, 1], the Gauss-Jacobi rule with
-    a = b = lam - 1/2, under the affine shift x -> (x + 1)/2.
+    """The n + 1 SGG nodes of index lam on [0, 1], n >= 1 since `build_sgdm`
+    needs two: the nodes of the Gauss-Gegenbauer rule on [-1, 1], the
+    Gauss-Jacobi rule with a = b = lam - 1/2, under the shift x -> (x + 1)/2.
 
     The barycentric weights come from the same rule's nodes x_j and weights
     omega_j as (-1)^(n-j) sqrt((1 - x_j^2) omega_j), a multiple of 1/p'(x_j)
@@ -94,9 +94,9 @@ def build_node_set(lam: float, n: int) -> NodeSet:
     if not (LAMBDA_MIN < lam <= LAMBDA_MAX):
         raise ValueError(f"lambda={lam} outside the valid window ({LAMBDA_MIN}, {LAMBDA_MAX}]")
     if not float(n).is_integer():
-        raise ValueError(f"grid degree n={n} must be an integer")
-    if n < 0:
-        raise ValueError(f"grid degree n={n} must be nonnegative")
+        raise ValueError(f"grid degree {n} must be an integer")
+    if n < 1:
+        raise ValueError(f"grid degree {n} must be at least 1")
     return _node_set(float(lam), int(n))
 
 

@@ -79,8 +79,6 @@ class RunConfig:
         if self.problem not in REGISTRY:
             raise ValueError(f"unknown problem {self.problem!r}; known: {sorted(REGISTRY)}")
         REGISTRY[self.problem](self.alpha)  # ProblemSpec checks alpha and the corner data
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"grid degrees n={self.n}, m={self.m} must be >= 1")
         build_node_set(self.lam, self.n)  # checks lam and each degree; builds the row's node sets
         build_node_set(self.lam, self.m)
         error_mesh_points(self.error_mesh)

@@ -302,16 +302,15 @@ def solve(sys: DiscreteSystem, cfg: SolverConfig, v0: np.ndarray | None = None) 
         # no Jacobian is factored to confirm the floor
         at_level = np.isfinite(merit) and merit <= level
         step = None if factors is None else _finite(_lu_step(factors, G))
-        if step is not None and not at_level:
-            # a chord step if it cuts the merit about 333-fold (||G||_2 18-fold);
-            # an LU is held only at a finite merit, so a new one that is not
-            # finite fails this test
-            G_new = residual(sys, v + step)
-            if _merit(G_new) <= CHORD_CONTRACTION * merit:
-                v, G, k = v + step, G_new, k + 1
-                continue
-            step = None
-        if step is None and not at_level:
+        if not at_level:
+            if step is not None:
+                # a chord step if it cuts the merit about 333-fold (||G||_2
+                # 18-fold); an LU is held only at a finite merit, so a new one
+                # that is not finite fails this test
+                G_new = residual(sys, v + step)
+                if _merit(G_new) <= CHORD_CONTRACTION * merit:
+                    v, G, k = v + step, G_new, k + 1
+                    continue
             factors = None  # free the last LU before the next Jacobian is built
             step, factors = newton_step(sys, v, G)
             factorizations += 1

@@ -6,16 +6,21 @@ tree, and compare the digests:
 
     PYTHONPATH=<tree>/src python tests/bit_identity.py
 
-It prints the path of the `fbbmb` it imported, then the digest. BLAS runs on
-one thread. The digest covers:
+It prints the path of the `fbbmb` it imported, one line of stress counts per
+method, then the digest, always the last line. BLAS runs on one thread. The
+digest covers:
 - every case of `bench/workloads.py` through `cli.run`: `aae` and `max_err` as
   `float.hex`, `iterations` and `stop_reason`;
 - each README "Paper tables" sweep through `cli.main` with `--format csv`: its
   exit code, its stderr and its rows without the two timing columns;
 - for both, every cascade level (`cli.solve`): its iterations, stop reason,
-  LUs (`factorizations`) and the sha1 of `v`.
-The cases and the sweeps are read from this file's tree, so two runs digest
-the same inputs. The file is not a pytest module.
+  LUs (`factorizations`) and the sha1 of `v`;
+- the first 500 draws of `test_solver.TestStressFixture` under both methods,
+  each a cold `solve`: the sha256 of `v`, its iterations, stop reason and LUs.
+The stress counts are how many of those draws are right, the indices of the
+false verdicts ("floor" on a wrong answer) and the LUs.
+The cases, the sweeps and the draws are read from this file's tree, so two
+runs digest the same inputs. The file is not a pytest module.
 """
 
 import contextlib
@@ -37,6 +42,9 @@ from fbbmb.solver import SolverConfig
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS, case_key
+from test_solver import TestStressFixture
+
+STRESS_DRAWS = 500
 
 
 def paper_tables() -> list[list[str]]:
@@ -74,7 +82,19 @@ def main() -> None:
                 for row in csv.DictReader(io.StringIO(out.getvalue()))]
         records.append([argv, code, err.getvalue(), rows, levels[:]])
         levels.clear()
+    cli.solve = solve
     print(os.path.dirname(fbbmb.__file__))
+    for method in ("newton", "trust_region"):
+        right, false, lus = 0, [], 0
+        for i, case in enumerate(TestStressFixture.draw(STRESS_DRAWS)):
+            _, rep, *_, ok = TestStressFixture.solve_case(case, method)
+            records.append([method, i, hashlib.sha256(rep.v.tobytes()).hexdigest(),
+                            rep.iterations, rep.stop_reason, rep.factorizations])
+            right += ok
+            lus += rep.factorizations
+            if rep.converged and not ok:
+                false.append(i)
+        print(f"{method}: {right} right, false verdicts {false}, {lus} LUs")
     print(hashlib.sha256(json.dumps(records).encode()).hexdigest())
 
 

@@ -98,13 +98,15 @@ class TestNodeSetChecks:
                     "lambda=2.5 outside the valid window (-0.499, 2.0]")):
                 build_node_set(2.5, 3)
 
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("grid degree n=-1 must be nonnegative")):
-            build_node_set(0.5, -1)
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_degree_below_one_rejected(self, n):
+        # a grid is differentiated (build_sgdm), so it needs two nodes
+        with pytest.raises(ValueError, match=re.escape(f"grid degree {n} must be at least 1")):
+            build_node_set(0.5, n)
 
     @pytest.mark.parametrize("n", [4.5, float("nan"), float("inf")])
     def test_non_integral_degree_rejected(self, n):
-        with pytest.raises(ValueError, match=re.escape(f"grid degree n={n} must be an integer")):
+        with pytest.raises(ValueError, match=re.escape(f"grid degree {n} must be an integer")):
             build_node_set(0.5, n)
 
     def test_lambda_near_minus_0_14_builds_silently(self):
@@ -134,7 +136,7 @@ class TestNodeSetCache:
             arr[0] = 0.0
 
     @pytest.mark.parametrize("lam", LAMBDAS)
-    @pytest.mark.parametrize("n", [0, 3, 16])
+    @pytest.mark.parametrize("n", [1, 3, 16])
     def test_nodes_equal_uncached_rule(self, lam, n):
         build_node_set(lam, n)  # the second call below reads the cache
         expected = (gauss_jacobi(n + 1, lam - 0.5, lam - 0.5)[0] + 1) / 2
@@ -147,17 +149,16 @@ class TestNodeSetCache:
 
 
 class TestNodeSet:
-    def test_single_node_at_half(self):
-        ns = build_node_set(0.5, 0)
-        assert ns.nodes[0] == pytest.approx(0.5, abs=1e-15)
-
     @pytest.mark.parametrize("lam", LAMBDAS)
-    def test_single_node_exact(self, lam):
-        # the one-point rule sits at the midpoint and carries the whole mass
-        ns = build_node_set(lam, 0)
-        np.testing.assert_array_equal(ns.nodes, [0.5])
-        np.testing.assert_allclose(interpolatory_weights(ns, lam), [shifted_moment(0, lam)], rtol=1e-15)
-        np.testing.assert_array_equal(ns.bary_weights, [1.0])
+    def test_two_node_rule_exact(self, lam):
+        # the smallest grid: the roots of C_2^(lam) are +-1/sqrt(2(lam + 1)), and
+        # the two weights are equal and carry the whole mass
+        half = 0.5 / np.sqrt(2.0 * (lam + 1.0))
+        ns = build_node_set(lam, 1)
+        np.testing.assert_allclose(ns.nodes, [0.5 - half, 0.5 + half], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(interpolatory_weights(ns, lam), [shifted_moment(0, lam) / 2] * 2,
+                                   rtol=1e-14)
+        np.testing.assert_array_equal(ns.bary_weights, [-1.0, 1.0])
 
     @pytest.mark.parametrize("lam", [-0.4, 0.5, 2.0])
     def test_nodes_match_high_precision_roots(self, lam):
@@ -176,7 +177,7 @@ class TestNodeSet:
         assert interpolatory_weights(ns, 0.5) @ ns.nodes**9 == pytest.approx(0.1, abs=1e-14)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_gauss_exactness(self, lam, n):
         ns = build_node_set(lam, n)
         weights = interpolatory_weights(ns, lam)

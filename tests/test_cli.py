@@ -139,14 +139,19 @@ class TestRunConfigValidation:
         ({"n": 4.5}, 0.5, 4.5),
         ({"m": float("nan")}, 0.5, float("nan")),
         ({"n": float("inf")}, 0.5, float("inf")),
+        ({"n": 0}, 0.5, 0),
+        ({"m": 0}, 0.5, 0),
+        ({"m": -1}, 0.5, -1),
     ])
     def test_grid_messages_are_build_node_sets(self, kwargs, lam, degree):
-        # build_node_set alone checks lam and each degree, and RunConfig calls it
+        # build_node_set alone checks lam and each degree, its lower bound
+        # too, and RunConfig calls it; its message names no axis
         with pytest.raises(ValueError) as expected:
             build_node_set(lam, degree)
         with pytest.raises(ValueError) as exc:
             RunConfig(**kwargs)
         assert str(exc.value) == str(expected.value)
+        assert "m" not in kwargs or "n=" not in str(exc.value)
 
     @pytest.mark.parametrize("mesh, message", [
         ("random", "unknown error mesh 'random'"),

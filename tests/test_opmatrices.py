@@ -32,8 +32,16 @@ def ns8():
 
 class TestDiffMatrix:
     def test_rejects_single_node(self):
-        with pytest.raises(ValueError, match=re.escape("differentiation needs at least two nodes")):
+        # build_node_set owns the two-node lower bound that differentiation needs
+        with pytest.raises(ValueError, match=re.escape("grid degree 0 must be at least 1")):
             build_sgdm(build_node_set(0.5, 0))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.5])
+    def test_two_node_grid(self, lam):
+        ns = build_node_set(lam, 1)
+        D = build_sgdm(ns)
+        np.testing.assert_allclose(D @ np.ones(2), 0.0, atol=1e-15)
+        np.testing.assert_allclose(D @ ns.nodes, 1.0, atol=1e-14)
 
     def test_rows_sum_to_zero(self, ns8):
         D = build_sgdm(ns8)
@@ -65,10 +73,12 @@ class TestIntMatrix:
         Q = build_sgim(ns)
         np.testing.assert_allclose(Q @ ns.nodes**3, ns.nodes**4 / 4, atol=1e-13)
 
-    def test_single_node_grid(self):
-        ns = build_node_set(0.5, 0)
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.5])
+    def test_two_node_grid(self, lam):
+        ns = build_node_set(lam, 1)
         Q = build_sgim(ns)
-        np.testing.assert_allclose(Q, [[ns.nodes[0]]], atol=1e-15)
+        np.testing.assert_allclose(Q @ np.ones(2), ns.nodes, atol=1e-15)
+        np.testing.assert_allclose(Q @ ns.nodes, ns.nodes**2 / 2, atol=1e-15)
 
     def test_fundamental_theorem(self, ns8):
         # D(Q g) = g for polynomial data up to degree m-1
